@@ -41,8 +41,8 @@
 // host and coalesced into multi-NotificationMessage envelopes by async
 // per-host writers over a pooled keep-alive transport. -batch-max caps
 // entries per envelope (1 disables batching), -batch-window bounds the
-// coalescing wait, -dest-queue sizes each writer's queue, and
-// -max-conns-per-host caps outbound sockets per destination.
+// coalescing wait, and -max-conns-per-host caps outbound sockets per
+// destination.
 //
 // Delivery pipelining: each destination host runs up to
 // -max-inflight-per-host concurrent sends (clamped to the connection
@@ -100,7 +100,6 @@ func main() {
 	queueDepth := flag.Int("queue", 256, "per-subscriber delivery queue depth")
 	batchMax := flag.Int("batch-max", 64, "max notifications coalesced into one delivery envelope (1 disables per-destination batching)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a per-destination writer waits to coalesce before flushing")
-	destQueue := flag.Int("dest-queue", 0, "per-destination writer queue depth (0 = default)")
 	maxConnsPerHost := flag.Int("max-conns-per-host", 0, "outbound connection cap per destination host (0 = pool default)")
 	maxInflight := flag.Int("max-inflight-per-host", 4, "concurrent in-flight deliveries per destination host (1 = serial writer; clamped to -max-conns-per-host)")
 	adaptiveWindow := flag.Bool("adaptive-window", true, "govern the per-host in-flight window with AIMD between 1 and -max-inflight-per-host (false pins it at the maximum)")
@@ -148,7 +147,6 @@ func main() {
 		QueueDepth:         *queueDepth,
 		BatchMax:           *batchMax,
 		BatchWindow:        *batchWindow,
-		DestQueueDepth:     *destQueue,
 		MaxInflightPerHost: *maxInflight,
 		AdaptiveWindow:     *adaptiveWindow,
 		MaxConnsPerHost:    *maxConnsPerHost,

@@ -83,6 +83,7 @@ func TestWorkflowRequiredShape(t *testing.T) {
 		"pull_request:",
 		"jobs:",
 		"  check:",
+		"  wsbench-check:",
 		"  lint:",
 		"  metrics:",
 		"  cover:",
@@ -97,6 +98,7 @@ func TestWorkflowRequiredShape(t *testing.T) {
 		"go-version-file: go.mod",
 		"cache: true",             // module/build caching on every job
 		"run: make check",         // the tier-1 gate
+		"run: make wsbench-check", // the nested cmd/wsbench module, invisible to ./...
 		"run: make fmt-check",     // gofmt -l, fail on diff
 		"run: make golden",        // wire-format golden probes
 		"run: make metrics-race",  // -race over obs/dispatch/core
@@ -187,7 +189,7 @@ func TestMakeCIMirrorsWorkflow(t *testing.T) {
 	for _, p := range prereqs {
 		have[p] = true
 	}
-	for _, want := range []string{"check", "fmt-check", "golden", "metrics-race", "metrics-smoke", "cover", "crash-smoke", "bench-gate", "load-smoke", "interop-smoke"} {
+	for _, want := range []string{"check", "wsbench-check", "fmt-check", "golden", "metrics-race", "metrics-smoke", "cover", "crash-smoke", "bench-gate", "load-smoke", "interop-smoke"} {
 		if !have[want] {
 			t.Errorf("make ci must depend on %q (got %v)", want, prereqs)
 		}
@@ -232,10 +234,27 @@ func TestBlockingJobsHaveNoContinueOnError(t *testing.T) {
 		}
 		return body
 	}
-	for _, job := range []string{"check", "lint", "metrics", "cover", "crash-smoke", "bench-gate", "load-smoke", "interop-smoke"} {
+	for _, job := range []string{"check", "wsbench-check", "lint", "metrics", "cover", "crash-smoke", "bench-gate", "load-smoke", "interop-smoke"} {
 		if strings.Contains(jobBody(job), "continue-on-error") {
 			t.Errorf("%s job must stay blocking (found continue-on-error)", job)
 		}
+	}
+}
+
+// TestWsbenchCheckTargetPinned keeps the nested benchmark module under
+// CI: root `go build ./...` and `go test ./...` stop at cmd/wsbench's own
+// go.mod, so the target must enter the directory and both vet and test it.
+func TestWsbenchCheckTargetPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(repoRoot(t), "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "cd cmd/wsbench && go vet ./... && go test ./..."
+	if !strings.Contains(string(raw), want) {
+		t.Errorf("Makefile wsbench-check target must run %q", want)
+	}
+	if _, err := os.Stat(filepath.Join(repoRoot(t), "cmd", "wsbench", "go.mod")); err != nil {
+		t.Errorf("cmd/wsbench must stay a nested module: %v", err)
 	}
 }
 

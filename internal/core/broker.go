@@ -19,20 +19,20 @@
 // registry with a topic index, per-subscriber bounded queues drained by a
 // shared worker pool, and broker-side pull buffers — keeping one slow
 // consumer from stalling the rest. This layer keeps only what is
-// WS-specific: mediation, SOAP rendering and the lease store.
+// broker-specific: the front doors, the lease store, and one delivery path
+// (delivery.go) — a single render step that mediates each notification
+// into the subscriber's dialect and a single wire step that carries it
+// out, whichever door the subscriber came in by.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/cloudevents"
 	"repro/internal/destwriter"
 	"repro/internal/dispatch"
 	"repro/internal/eventlog"
@@ -93,11 +93,6 @@ type Config struct {
 	// BatchWindow is how long a destination writer waits after its first
 	// dequeue for more batches to coalesce (zero = purely opportunistic).
 	BatchWindow time.Duration
-	// DestQueueDepth bounds each destination host's writer queue (default
-	// 1024). A full queue blocks the delivery worker until the retry
-	// policy's per-attempt timeout converts the wait into that
-	// subscriber's retry/breaker/DLQ path — bounded memory per slow host.
-	DestQueueDepth int
 	// MaxInflightPerHost caps concurrent in-flight sends per destination
 	// host: 1 (or zero, the default) keeps the serial writer, higher
 	// values let the writer pipeline flush rounds through up to that many
@@ -222,87 +217,25 @@ type subState struct {
 	canon *mediation.Subscribe
 	flt   filter.All
 	plan  mediation.DeliveryPlan
-	// local, when set, delivers in-process instead of over a transport —
-	// the WebSocket front door's connection-bound subscriptions. Local
-	// subscriptions are never persisted.
-	local func(ctx context.Context, event []byte) error
-	// localRaw, when set, delivers the un-rendered notification in-process
-	// — the MQTT front door's session-bound subscriptions, which do their
-	// own wire framing per QoS level. Like local, never persisted.
-	localRaw func(ctx context.Context, n mediation.Notification) error
-	// pauseBuffer selects buffering pause semantics for this subscription
-	// (persistent MQTT sessions queue while the client is offline; the
-	// WS-Notification default skips paused subscribers).
-	pauseBuffer bool
-	// failureLimit, when nonzero, overrides the broker-wide consecutive-
-	// failure cap (persistent MQTT sessions pass -1: the session deadline,
-	// not delivery failures, decides eviction).
-	failureLimit int
+	// session, when set, delivers the un-rendered notification in-process
+	// instead of over a transport: the /ws and MQTT doors' subscriptions,
+	// bound to a connection or session that does its own wire framing.
+	// Session subscriptions are never persisted.
+	session func(ctx context.Context, n mediation.Notification) error
+	// persistent marks a persistent MQTT session's subscription: paused, it
+	// queues while the client is offline (the WS-Notification default skips
+	// paused subscribers), and the session deadline, not the consecutive-
+	// failure cap, decides eviction.
+	persistent bool
 }
 
-// fanMsg is the dispatch payload: the notification body plus the
-// publishing spec family (for the mediation counter), the federation relay
-// provenance (nil outside federated deployments) and, when the broker
-// delivers over a raw-bytes transport, the publish's shared render-template
-// cache. The relay is constant across one publish's whole fan-out, so it
-// bakes into the shared templates without splitting render keys.
-type fanMsg struct {
-	payload *xmldom.Element
-	origin  string
-	relay   *mediation.Relay
-	rs      *renderSet
-}
-
-// renderSet is one publish's render-template cache: subscribers whose
-// delivery plans share a mediation.RenderKey share one rendered, serialised
-// envelope and differ only by spliced fields. It lives exactly as long as
-// the dispatch messages that reference it, so there is no invalidation —
-// the next publish starts empty.
-type renderSet struct {
-	mu sync.Mutex
-	m  map[mediation.RenderKey]*mediation.Template
-}
-
-func newRenderSet() *renderSet {
-	return &renderSet{m: map[mediation.RenderKey]*mediation.Template{}}
-}
-
-// template returns the plan's template, building and memoising it on first
-// use. A plan whose envelope cannot be spliced unambiguously (sentinel
-// collision in the payload) memoises nil, so the build is attempted once
-// and every delivery for that key falls back to a fresh render.
-func (rs *renderSet) template(n mediation.Notification, plan mediation.DeliveryPlan) (tpl *mediation.Template, hit bool) {
-	key := mediation.KeyFor(plan)
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if tpl, hit = rs.m[key]; hit {
-		return tpl, true
-	}
-	tpl, err := mediation.NewTemplate(n, plan)
-	if err != nil {
-		tpl = nil
-	}
-	rs.m[key] = tpl
-	return tpl, false
-}
-
-// sendBufPool recycles the buffers fan-out serialises envelopes into; one
-// buffer is in flight per concurrent send. Buffers that grew beyond
-// maxPooledSendBuf are dropped so a single giant payload cannot pin memory.
-var sendBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-const maxPooledSendBuf = 1 << 20
-
-func getSendBuf() *[]byte { return sendBufPool.Get().(*[]byte) }
-
-func putSendBuf(b *[]byte) {
-	if cap(*b) > maxPooledSendBuf {
-		return
-	}
-	sendBufPool.Put(b)
+// accepts runs the subscription's full filter chain over one message.
+func (b *Broker) accepts(st *subState, m dispatch.Message) (bool, error) {
+	return st.flt.Accepts(filter.Message{
+		Topic:              m.Topic,
+		Payload:            m.Payload.(fanMsg).payload,
+		ProducerProperties: b.cfg.Properties,
+	})
 }
 
 // Broker is the WS-Messenger broker.
@@ -396,28 +329,22 @@ func New(cfg Config) (*Broker, error) {
 		DLQFetch:     dlqFetch,
 		Obs:          b.cfg.Obs,
 	})
-	if rec := b.cfg.Obs; rec != nil {
-		b.renderSec = rec.Registry().Histogram("wsm_mediation_render_seconds",
-			"Time spent rendering notifications into the subscriber's spec.",
-			nil, obs.L("component", rec.Component()))
-		b.cacheHits = rec.Registry().Counter("wsm_render_cache_hits_total",
-			"Fan-out deliveries served by stamping a cached render template.",
-			obs.L("component", rec.Component()))
-		b.cacheMisses = rec.Registry().Counter("wsm_render_cache_misses_total",
-			"Fan-out deliveries that needed a fresh mediation render: first delivery per render key, uncacheable subscriber EPRs, and splice fallbacks.",
-			obs.L("component", rec.Component()))
-	}
-	if b.cfg.Client != nil {
-		if bc, ok := b.cfg.Client.(transport.BytesClient); ok {
-			b.rawClient = bc
-		}
-		if rs, ok := b.cfg.Client.(transport.RawSender); ok {
-			b.ceClient = rs
-		}
-	}
+	b.store = sublease.NewStore(
+		sublease.WithClock(b.cfg.Clock),
+		sublease.WithIDPrefix("wsm"),
+		sublease.WithEndObserver(b.onLeaseEnd),
+	)
+	b.rawClient, _ = b.cfg.Client.(transport.BytesClient)
+	b.ceClient, _ = b.cfg.Client.(transport.RawSender)
 	if rec := b.cfg.Obs; rec != nil {
 		reg := rec.Registry()
 		comp := obs.L("component", rec.Component())
+		b.renderSec = reg.Histogram("wsm_mediation_render_seconds",
+			"Time spent rendering notifications into the subscriber's spec.", nil, comp)
+		b.cacheHits = reg.Counter("wsm_render_cache_hits_total",
+			"Fan-out deliveries served by stamping a cached render template.", comp)
+		b.cacheMisses = reg.Counter("wsm_render_cache_misses_total",
+			"Fan-out deliveries that needed a fresh mediation render: first delivery per render key, uncacheable subscriber EPRs, and splice fallbacks.", comp)
 		b.cePublished = reg.Counter("wsm_ce_published_total",
 			"CloudEvents accepted through the /ce and /ws front doors.", comp)
 		b.ceDeliveries = reg.Counter("wsm_ce_deliveries_total",
@@ -426,20 +353,9 @@ func New(cfg Config) (*Broker, error) {
 			"CloudEvents wire deliveries that failed.", comp)
 		reg.GaugeFunc("wsm_ce_subscriptions",
 			"Live CloudEvents HTTP subscriptions (WebSocket- and MQTT-bound ones excluded).",
-			func() float64 {
-				if b.store == nil {
-					return 0 // scraped before New finished wiring
-				}
-				n := 0
-				for _, sn := range b.store.Active() {
-					if st, ok := sn.Data.(*subState); ok &&
-						st.canon.Origin.Family == mediation.FamilyCE &&
-						st.local == nil && st.localRaw == nil {
-						n++
-					}
-				}
-				return float64(n)
-			}, comp)
+			b.countSubs(func(st *subState) bool {
+				return st.canon.Origin.Family == mediation.FamilyCE && st.session == nil
+			}), comp)
 		reg.GaugeFunc("wsm_ws_connections",
 			"Live WebSocket front-door connections.",
 			func() float64 { return float64(b.wsConns.Load()) }, comp)
@@ -454,18 +370,9 @@ func New(cfg Config) (*Broker, error) {
 			func() float64 { return float64(b.mqttConns.Load()) }, comp)
 		reg.GaugeFunc("wsm_mqtt_subscriptions",
 			"Live MQTT session-bound subscriptions (all QoS levels).",
-			func() float64 {
-				if b.store == nil {
-					return 0 // scraped before New finished wiring
-				}
-				n := 0
-				for _, sn := range b.store.Active() {
-					if st, ok := sn.Data.(*subState); ok && st.localRaw != nil {
-						n++
-					}
-				}
-				return float64(n)
-			}, comp)
+			b.countSubs(func(st *subState) bool {
+				return st.canon.Consumer.Address == mqttConsumerURN
+			}), comp)
 		b.mqttConnsTotal = reg.Counter("wsm_mqtt_connections_total",
 			"MQTT front-door connections ever accepted.", comp)
 		b.mqttPublished = reg.Counter("wsm_mqtt_published_total",
@@ -486,23 +393,11 @@ func New(cfg Config) (*Broker, error) {
 		}
 		b.dest = destwriter.NewPool(destwriter.Config{
 			Send: func(ctx context.Context, addr, contentType string, body []byte) error {
-				if b.ceClient != nil && strings.HasPrefix(contentType, "application/cloudevents") {
-					// CloudEvents bodies must not ride the SOAP path: the
-					// consumer's 2xx receipt is JSON, not an envelope.
-					err := b.ceClient.SendRaw(ctx, addr, contentType, nil, body)
-					if err != nil {
-						inc(b.ceErrors)
-					} else {
-						inc(b.ceDeliveries)
-					}
-					return err
-				}
-				return b.rawClient.SendBytes(ctx, addr, contentType, body)
+				return b.post(ctx, addr, contentType, nil, body)
 			},
 			NextMessageID:      b.nextMessageID,
 			BatchMax:           b.cfg.BatchMax,
 			BatchWindow:        b.cfg.BatchWindow,
-			QueueDepth:         b.cfg.DestQueueDepth,
 			MaxInflightPerHost: b.cfg.MaxInflightPerHost,
 			AdaptiveWindow:     b.cfg.AdaptiveWindow,
 			ConnCap:            connCap,
@@ -553,11 +448,6 @@ func New(cfg Config) (*Broker, error) {
 				b.dest.WindowDecreases, comp)
 		}
 	}
-	b.store = sublease.NewStore(
-		sublease.WithClock(b.cfg.Clock),
-		sublease.WithIDPrefix("wsm"),
-		sublease.WithEndObserver(b.onLeaseEnd),
-	)
 	b.wsrfSvc = &wsrf.Service{
 		Provider:    brokerResources{b},
 		Clock:       b.cfg.Clock,
@@ -570,6 +460,20 @@ func New(cfg Config) (*Broker, error) {
 	}
 	b.cancelBackend = cancel
 	return b, nil
+}
+
+// countSubs is a scrape-time gauge over the live subscriptions whose
+// record satisfies pred.
+func (b *Broker) countSubs(pred func(*subState) bool) func() float64 {
+	return func() float64 {
+		n := 0
+		for _, sn := range b.store.Active() {
+			if st, ok := sn.Data.(*subState); ok && pred(st) {
+				n++
+			}
+		}
+		return float64(n)
+	}
 }
 
 // Address returns the front-door address.
@@ -675,283 +579,9 @@ func (b *Broker) fanOut(msg backend.Message) {
 	b.engine.Dispatch(dispatch.Message{Topic: msg.Topic, Pos: msg.Pos, Payload: fm})
 }
 
-// sendCtx applies the default delivery timeout when the dispatch engine's
-// context does not already carry the retry policy's per-attempt deadline.
-func sendCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, nil
-	}
-	return context.WithTimeout(ctx, 10*time.Second)
-}
-
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-// send posts one notification in the subscriber's spec. With a render set
-// and a cacheable consumer it stamps the publish's shared template into a
-// pooled buffer — render-once fan-out; otherwise it renders afresh.
-func (b *Broker) send(ctx context.Context, st *subState, n mediation.Notification, rs *renderSet) error {
-	ctx, cancel := sendCtx(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	addr := st.canon.Consumer.Address
-	if rs != nil {
-		if mediation.Cacheable(st.canon.Consumer) {
-			if tpl, hit := rs.template(n, st.plan); tpl != nil {
-				if hit {
-					inc(b.cacheHits)
-				} else {
-					inc(b.cacheMisses)
-				}
-				return b.sendStamped(ctx, tpl, addr, st.plan.SubscriptionID)
-			}
-		}
-		inc(b.cacheMisses)
-	}
-	env := b.timeRender(func() *soap.Envelope {
-		return mediation.Render(n, st.canon.Consumer, st.plan, b.nextMessageID())
-	})
-	return b.sendEnvelope(ctx, addr, env)
-}
-
-// sendStamped splices one subscriber's fields into a cached template and
-// posts the bytes. Retry attempts re-enter here, so each attempt still
-// carries a fresh MessageID, exactly as the render path does.
-func (b *Broker) sendStamped(ctx context.Context, tpl *mediation.Template, addr, subID string) error {
-	buf := getSendBuf()
-	if b.renderSec == nil {
-		*buf = tpl.Stamp((*buf)[:0], addr, b.nextMessageID(), subID)
-	} else {
-		t0 := b.cfg.Obs.Now()
-		*buf = tpl.Stamp((*buf)[:0], addr, b.nextMessageID(), subID)
-		b.renderSec.Observe(b.cfg.Obs.Now().Sub(t0))
-	}
-	err := b.rawClient.SendBytes(ctx, addr, soap.V11.ContentType(), *buf)
-	putSendBuf(buf)
-	return err
-}
-
-// sendEnvelope posts a rendered envelope, serialising into a pooled buffer
-// over the raw-bytes transport path when the client supports it.
-func (b *Broker) sendEnvelope(ctx context.Context, addr string, env *soap.Envelope) error {
-	if b.rawClient == nil {
-		return b.cfg.Client.Send(ctx, addr, env)
-	}
-	buf := getSendBuf()
-	*buf = env.AppendMarshal((*buf)[:0])
-	err := b.rawClient.SendBytes(ctx, addr, env.Version.ContentType(), *buf)
-	putSendBuf(buf)
-	return err
-}
-
-// sendBatch hands one dispatch delivery — up to Batch messages for one
-// subscriber — to the per-destination writer pool. Messages whose cached
-// template is coalescible travel as frames the pool stamps into shared
-// multi-NotificationMessage envelopes (possibly merged with other
-// subscribers bound for the same host); everything else is rendered here
-// and carried as a complete body the pool pipelines over the host's
-// keep-alive connection. The pool may finish a send after this call's
-// context expires, so bodies are freshly allocated, never pooled.
-func (b *Broker) sendBatch(ctx context.Context, st *subState, batch []dispatch.Message) error {
-	ctx, cancel := sendCtx(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	addr := st.canon.Consumer.Address
-	db := &destwriter.Batch{
-		Addr:        addr,
-		ContentType: soap.V11.ContentType(),
-		Key:         st.plan.SubscriptionID,
-		Live: func() bool {
-			_, err := b.store.Get(st.plan.SubscriptionID)
-			return err == nil
-		},
-		Entries: make([]destwriter.Entry, 0, len(batch)),
-	}
-	cacheable := mediation.Cacheable(st.canon.Consumer)
-	for _, m := range batch {
-		fm := m.Payload.(fanMsg)
-		n := mediation.Notification{Topic: m.Topic, Payload: fm.payload, Relay: fm.relay}
-		if fm.rs != nil {
-			if cacheable {
-				if tpl, hit := fm.rs.template(n, st.plan); tpl != nil {
-					if hit {
-						inc(b.cacheHits)
-					} else {
-						inc(b.cacheMisses)
-					}
-					if tpl.Coalescible() {
-						db.Entries = append(db.Entries, destwriter.Entry{Frame: tpl, SubID: st.plan.SubscriptionID})
-					} else {
-						db.Entries = append(db.Entries, destwriter.Entry{Body: tpl.Stamp(nil, addr, b.nextMessageID(), st.plan.SubscriptionID)})
-					}
-					continue
-				}
-			}
-			inc(b.cacheMisses)
-		}
-		env := b.timeRender(func() *soap.Envelope {
-			return mediation.Render(n, st.canon.Consumer, st.plan, b.nextMessageID())
-		})
-		db.ContentType = env.Version.ContentType()
-		db.Entries = append(db.Entries, destwriter.Entry{Body: env.AppendMarshal(nil)})
-	}
-	err := b.dest.Deliver(ctx, db)
-	if errors.Is(err, destwriter.ErrCanceled) {
-		// The subscription died between enqueue and flush: nothing went on
-		// the wire, and nothing should have. The engine counts the batch
-		// Delivered rather than pushing a deliberately-cancelled tail into
-		// retry/DLQ; the suppression stays visible via
-		// wsm_dest_canceled_total.
-		return nil
-	}
-	return err
-}
-
 // DestWriter exposes the per-destination writer pool (nil when batching is
 // off) for harnesses and operator surfaces.
 func (b *Broker) DestWriter() *destwriter.Pool { return b.dest }
-
-// ceSend puts one CloudEvents delivery on the wire through the raw HTTP
-// path, keeping the wsm_ce_* delivery accounting.
-func (b *Broker) ceSend(ctx context.Context, addr, contentType string, header map[string]string, body []byte) error {
-	err := b.ceClient.SendRaw(ctx, addr, contentType, header, body)
-	if err != nil {
-		inc(b.ceErrors)
-	} else {
-		inc(b.ceDeliveries)
-	}
-	return err
-}
-
-// sendCE posts one notification to a CloudEvents HTTP subscriber in its
-// content mode. Structured and batched modes share the publish's render
-// template exactly like SOAP subscribers (the per-delivery splice is the
-// event id for synthesised events, nothing for preserved ones); binary
-// mode renders fresh every time — its attributes travel as headers, which
-// the byte-splicing template cannot carry.
-func (b *Broker) sendCE(ctx context.Context, st *subState, n mediation.Notification, rs *renderSet) error {
-	ctx, cancel := sendCtx(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	addr := st.canon.Consumer.Address
-	if st.plan.CEMode == mediation.CEBinary {
-		header, contentType, body := mediation.RenderCEBinary(n, st.plan, b.nextMessageID())
-		return b.ceSend(ctx, addr, contentType, header, body)
-	}
-	if rs != nil {
-		if mediation.Cacheable(st.canon.Consumer) {
-			if tpl, hit := rs.template(n, st.plan); tpl != nil {
-				if hit {
-					inc(b.cacheHits)
-				} else {
-					inc(b.cacheMisses)
-				}
-				buf := getSendBuf()
-				id := b.nextMessageID()
-				// Stamp routes the id through whichever slot the mode's
-				// template cut (MessageID for structured, SubID for batched).
-				*buf = tpl.Stamp((*buf)[:0], addr, id, id)
-				contentType := cloudevents.ContentTypeJSON
-				if st.plan.CEMode == mediation.CEBatched {
-					contentType = cloudevents.ContentTypeBatch
-				}
-				err := b.ceSend(ctx, addr, contentType, nil, *buf)
-				putSendBuf(buf)
-				return err
-			}
-		}
-		inc(b.cacheMisses)
-	}
-	body, contentType := mediation.RenderCE(n, st.plan, b.nextMessageID())
-	return b.ceSend(ctx, addr, contentType, nil, body)
-}
-
-// sendCEBatch hands a batched-mode CloudEvents delivery to the
-// per-destination writer pool: coalescible frames merge with other
-// subscribers' batched-mode deliveries bound for the same host into one
-// application/cloudevents-batch+json array per round trip — the same
-// coalescing WSN 1.3 multi-NotificationMessage envelopes get.
-func (b *Broker) sendCEBatch(ctx context.Context, st *subState, batch []dispatch.Message) error {
-	ctx, cancel := sendCtx(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	addr := st.canon.Consumer.Address
-	db := &destwriter.Batch{
-		Addr:        addr,
-		ContentType: cloudevents.ContentTypeBatch,
-		Key:         st.plan.SubscriptionID,
-		Live: func() bool {
-			_, err := b.store.Get(st.plan.SubscriptionID)
-			return err == nil
-		},
-		Entries: make([]destwriter.Entry, 0, len(batch)),
-	}
-	cacheable := mediation.Cacheable(st.canon.Consumer)
-	for _, m := range batch {
-		fm := m.Payload.(fanMsg)
-		n := mediation.Notification{Topic: m.Topic, Payload: fm.payload, Relay: fm.relay}
-		id := b.nextMessageID()
-		if fm.rs != nil {
-			if cacheable {
-				if tpl, hit := fm.rs.template(n, st.plan); tpl != nil {
-					if hit {
-						inc(b.cacheHits)
-					} else {
-						inc(b.cacheMisses)
-					}
-					// The minted event id rides the entry's SubID channel —
-					// the batched template's only per-entry splice.
-					db.Entries = append(db.Entries, destwriter.Entry{Frame: tpl, SubID: id})
-					continue
-				}
-			}
-			inc(b.cacheMisses)
-		}
-		body, _ := mediation.RenderCE(n, st.plan, id)
-		db.Entries = append(db.Entries, destwriter.Entry{Body: body})
-	}
-	err := b.dest.Deliver(ctx, db)
-	if errors.Is(err, destwriter.ErrCanceled) {
-		return nil // same suppression contract as sendBatch
-	}
-	return err
-}
-
-// sendWrapped posts one batched envelope to a WSE wrapped-mode subscriber.
-// Wrapped batches are assembled per subscriber from that subscriber's own
-// queue, so no two subscribers share a batch and there is nothing to
-// cache; the pooled serialisation path still applies.
-func (b *Broker) sendWrapped(ctx context.Context, st *subState, batch []mediation.Notification) error {
-	env := b.timeRender(func() *soap.Envelope {
-		return mediation.RenderWrappedWSE(batch, st.canon.Consumer, st.plan, b.nextMessageID())
-	})
-	ctx, cancel := sendCtx(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	return b.sendEnvelope(ctx, st.canon.Consumer.Address, env)
-}
-
-// timeRender runs one mediation render, feeding its duration into the
-// wsm_mediation_render_seconds histogram when instrumentation is on —
-// the per-delivery cost of the paper's mediation layer, measured apart
-// from the network send it precedes.
-func (b *Broker) timeRender(render func() *soap.Envelope) *soap.Envelope {
-	if b.renderSec == nil {
-		return render()
-	}
-	t0 := b.cfg.Obs.Now()
-	env := render()
-	b.renderSec.Observe(b.cfg.Obs.Now().Sub(t0))
-	return env
-}
 
 // FlushWrapped forces out every partially filled wrapped-mode batch.
 func (b *Broker) FlushWrapped() { b.engine.FlushBatches() }
@@ -1040,23 +670,49 @@ func (b *Broker) Shutdown() {
 	_ = b.CloseLog()
 }
 
-// register creates the broker-side state for a canonical subscription.
-// The dispatch registration happens inside the store's creation lock so no
-// concurrent fan-out can observe a half-initialised subscription.
-func (b *Broker) register(canon *mediation.Subscribe, flt filter.All, expires time.Time) *sublease.Lease {
-	st := &subState{canon: canon, flt: flt}
+// newSubscription is the one way a subscription comes into being, whichever
+// door asked: it completes st (canon, filter and any session options) with
+// its delivery plan and registers it with the lease store and the dispatch
+// engine. An empty sn.ID creates a fresh lease expiring at sn.Expires — the
+// dispatch registration happens inside the store's creation lock, so no
+// concurrent fan-out can observe a half-initialised subscription; a set
+// sn.ID restores that snapshot entry, identity and pause state included.
+func (b *Broker) newSubscription(st *subState, sn sublease.Snapshot) (id string, err error) {
 	st.plan = mediation.DeliveryPlan{
-		Dialect:         canon.Origin,
-		UseRaw:          canon.UseRaw,
+		Dialect:         st.canon.Origin,
+		UseRaw:          st.canon.UseRaw,
+		SubscriptionID:  sn.ID,
 		ManagerAddress:  b.cfg.ManagerAddress,
 		ProducerAddress: b.cfg.Address,
-		CEMode:          canon.CEMode,
+		CEMode:          st.canon.CEMode,
 	}
-	return b.store.CreateFunc(func(id string) any {
-		st.plan.SubscriptionID = id
-		b.attach(id, st, false, expires)
-		return st
-	}, expires)
+	if sn.ID == "" {
+		return b.store.CreateFunc(func(id string) any {
+			st.plan.SubscriptionID = id
+			b.attach(id, st, false, sn.Expires)
+			return st
+		}, sn.Expires).ID, nil
+	}
+	sn.Data = st
+	if err := b.store.Restore(sn); err != nil {
+		return "", err
+	}
+	b.attach(sn.ID, st, sn.Paused, sn.Expires)
+	return sn.ID, nil
+}
+
+// subscribeCE grants a CloudEvents-family subscription, the rule the /ce,
+// /ws and MQTT doors share: compile the canonical filter chain, resolve the
+// requested expiry against the broker's default and maximum, register.
+func (b *Broker) subscribeCE(st *subState) (id string, expires time.Time, err error) {
+	if st.flt, err = st.canon.BuildFilter(); err != nil {
+		return "", expires, err
+	}
+	if expires, err = b.grantExpiry(st.canon.Expires, st.canon.Origin); err != nil {
+		return "", expires, err
+	}
+	id, err = b.newSubscription(st, sublease.Snapshot{Expires: expires})
+	return id, expires, err
 }
 
 // selectorFor derives the topic-index placement from the compiled filter
@@ -1071,12 +727,14 @@ func selectorFor(flt filter.All) dispatch.Selector {
 	return dispatch.MatchAll()
 }
 
-// attach registers a subscription with the dispatch engine, mapping the
-// canonical delivery options onto an engine mode: WSE pull mode becomes a
-// broker-side Pull buffer (drop-oldest at PullQueueCap), WSE wrapped mode
-// becomes Sync batching at WrapBatchSize, SyncDelivery delivers inline,
-// and everything else runs through a bounded drop-newest queue drained by
-// the shared worker pool.
+// attach registers a subscription with the dispatch engine, picking its
+// sink from the canonical delivery options: WSE pull mode becomes a
+// broker-side Pull buffer (drop-oldest at PullQueueCap); WSE wrapped mode
+// becomes Sync batching at WrapBatchSize into deliverWrapped; a session
+// subscription (/ws, MQTT) is handed the un-rendered notification
+// in-process; everything else is an HTTP consumer served by deliver. The
+// two push sinks run through a bounded drop-newest queue drained by the
+// shared worker pool, or inline under SyncDelivery.
 func (b *Broker) attach(id string, st *subState, paused bool, expires time.Time) {
 	// clone isolates pull-buffer and wrapped-batch copies; the render set
 	// is deliberately dropped — those buffers outlive the publish, and the
@@ -1089,16 +747,11 @@ func (b *Broker) attach(id string, st *subState, paused bool, expires time.Time)
 		ID:       id,
 		Selector: selectorFor(st.flt),
 		Filter: func(m dispatch.Message) (bool, error) {
-			fm := m.Payload.(fanMsg)
-			ok, err := st.flt.Accepts(filter.Message{
-				Topic:              m.Topic,
-				Payload:            fm.payload,
-				ProducerProperties: b.cfg.Properties,
-			})
+			ok, err := b.accepts(st, m)
 			if err != nil || !ok {
 				return false, err
 			}
-			if fm.origin != "" && fm.origin != st.canon.Origin.Family.String() {
+			if origin := m.Payload.(fanMsg).origin; origin != "" && origin != st.canon.Origin.Family.String() {
 				b.mediations.Add(1)
 			}
 			return true, nil
@@ -1108,11 +761,27 @@ func (b *Broker) attach(id string, st *subState, paused bool, expires time.Time)
 			b.store.Cancel(id, sublease.EndDeliveryFailure)
 		},
 		Paused:      paused,
-		PauseBuffer: st.pauseBuffer,
+		PauseBuffer: st.persistent,
 		Deadline:    expires,
 	}
-	if st.failureLimit != 0 {
-		sub.FailureLimit = st.failureLimit
+	if st.persistent {
+		sub.FailureLimit = -1 // never evict on failures: the session decides
+	}
+	push := func() {
+		if b.cfg.SyncDelivery {
+			sub.Mode = dispatch.Sync
+			return
+		}
+		sub.Mode = dispatch.Queued
+		sub.QueueCap = b.cfg.QueueDepth
+		sub.Overflow = dispatch.DropNewest
+		if b.dest != nil {
+			// Per-destination batching: let the drain hand up to BatchMax
+			// backlogged messages per delivery cycle so the dest pool can
+			// coalesce them (plus whatever other subscribers queued for the
+			// same host) into multi-message envelopes.
+			sub.Batch = b.cfg.BatchMax
+		}
 	}
 	switch {
 	case st.canon.PullMode:
@@ -1125,87 +794,24 @@ func (b *Broker) attach(id string, st *subState, paused bool, expires time.Time)
 		sub.Batch = b.cfg.WrapBatchSize
 		sub.Prepare = clone
 		sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
-			ns := make([]mediation.Notification, len(batch))
-			for i, m := range batch {
-				ns[i] = mediation.Notification{Topic: m.Topic, Payload: m.Payload.(fanMsg).payload}
+			return b.deliverWrapped(ctx, st, batch)
+		}
+	case st.session != nil:
+		// The session treats payloads as read-only, so pause-buffered
+		// persistent sessions replay from here without a Prepare clone.
+		push()
+		sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
+			for _, m := range batch {
+				if err := st.session(ctx, notification(m)); err != nil {
+					return err
+				}
 			}
-			return b.sendWrapped(ctx, st, ns)
+			return nil
 		}
 	default:
-		if b.cfg.SyncDelivery {
-			sub.Mode = dispatch.Sync
-		} else {
-			sub.Mode = dispatch.Queued
-			sub.QueueCap = b.cfg.QueueDepth
-			sub.Overflow = dispatch.DropNewest
-			if b.dest != nil {
-				// Per-destination batching: let the drain hand up to
-				// BatchMax backlogged messages per delivery cycle so the
-				// dest pool can coalesce them (plus whatever other
-				// subscribers queued for the same host) into
-				// multi-message envelopes.
-				sub.Batch = b.cfg.BatchMax
-			}
-		}
-		switch {
-		case st.localRaw != nil:
-			// Session-bound (MQTT) subscription: hand the raw notification
-			// in-process; the session layer frames it per the granted QoS.
-			// Pause-buffered persistent sessions replay from here too, so
-			// the payload is cloned defensively by Prepare below only for
-			// pull/wrap modes — the MQTT path treats payloads as read-only.
-			sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
-				for _, m := range batch {
-					fm := m.Payload.(fanMsg)
-					n := mediation.Notification{Topic: m.Topic, Payload: fm.payload, Relay: fm.relay}
-					if err := st.localRaw(ctx, n); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-		case st.local != nil:
-			// Connection-bound (WebSocket) subscription: render the
-			// CloudEvents structured body and hand it in-process. The dest
-			// pool never applies — there is no destination host.
-			sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
-				for _, m := range batch {
-					fm := m.Payload.(fanMsg)
-					n := mediation.Notification{Topic: m.Topic, Payload: fm.payload, Relay: fm.relay}
-					body, _ := mediation.RenderCE(n, st.plan, b.nextMessageID())
-					if err := st.local(ctx, body); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-		case st.canon.Origin.Family == mediation.FamilyCE:
-			if b.dest != nil && st.plan.CEMode == mediation.CEBatched {
-				sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
-					return b.sendCEBatch(ctx, st, batch)
-				}
-			} else {
-				sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
-					for _, m := range batch {
-						fm := m.Payload.(fanMsg)
-						n := mediation.Notification{Topic: m.Topic, Payload: fm.payload, Relay: fm.relay}
-						if err := b.sendCE(ctx, st, n, fm.rs); err != nil {
-							return err
-						}
-					}
-					return nil
-				}
-			}
-		case b.dest != nil:
-			sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
-				return b.sendBatch(ctx, st, batch)
-			}
-		default:
-			sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
-				m := batch[0]
-				fm := m.Payload.(fanMsg)
-				return b.send(ctx, st, mediation.Notification{Topic: m.Topic, Payload: fm.payload, Relay: fm.relay}, fm.rs)
-			}
+		push()
+		sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
+			return b.deliver(ctx, st, batch)
 		}
 	}
 	_ = b.engine.Subscribe(sub)
@@ -1228,6 +834,25 @@ func (b *Broker) renewSubscription(id string, t time.Time) (time.Time, error) {
 		b.engine.SetDeadline(id, granted)
 	}
 	return granted, err
+}
+
+// pauseSubscription suspends delivery, engine first: once the store
+// snapshot reads Paused, matched messages are already buffering (or being
+// skipped) rather than racing a consumer that asked for quiet. A pause the
+// store refuses touched only an entry Dispatch already skips as lapsed.
+func (b *Broker) pauseSubscription(id string) error {
+	b.engine.Pause(id)
+	return b.store.Pause(id)
+}
+
+// resumeSubscription re-enables delivery, flushing a buffering
+// subscription's backlog — only for a lease the store still honours.
+func (b *Broker) resumeSubscription(id string) error {
+	err := b.store.Resume(id)
+	if err == nil {
+		b.engine.Resume(id)
+	}
+	return err
 }
 
 // grantExpiry resolves a raw expiration per the origin dialect's rules:

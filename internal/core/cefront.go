@@ -175,36 +175,41 @@ func (b *Broker) ceControl(w http.ResponseWriter, body []byte) {
 		ceError(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", mode))
 		return
 	}
-	canon := &mediation.Subscribe{
-		Origin:   mediation.Dialect{Family: mediation.FamilyCE},
-		Consumer: wsa.NewEPR(wsa.V200508, req.Sink),
-		Expires:  req.Expires,
-		CEMode:   mode,
-	}
-	if req.Topic != "" {
-		expr, ns, err := ceTopicExpr(req.Topic)
-		if err != nil {
-			ceError(w, http.StatusBadRequest, err)
-			return
-		}
-		canon.TopicExpr, canon.TopicDialect, canon.TopicNS = expr, topics.DialectConcrete, ns
-	}
-	flt, err := canon.BuildFilter()
+	canon, err := ceCanon(req.Sink, req.Topic, mode)
 	if err != nil {
 		ceError(w, http.StatusBadRequest, err)
 		return
 	}
-	expires, err := b.grantExpiry(canon.Expires, canon.Origin)
+	canon.Expires = req.Expires
+	id, expires, err := b.subscribeCE(&subState{canon: canon})
 	if err != nil {
 		ceError(w, http.StatusBadRequest, err)
 		return
 	}
-	lease := b.register(canon, flt, expires)
-	resp := map[string]any{"id": lease.ID, "mode": mode}
+	resp := map[string]any{"id": id, "mode": mode}
 	if !expires.IsZero() {
 		resp["expires"] = xsdt.FormatDateTime(expires)
 	}
 	ceJSON(w, http.StatusCreated, resp)
+}
+
+// ceCanon builds the canonical subscribe of a CloudEvents-family consumer,
+// optionally filtered by a Clark-form topic path ("{ns}a/b"; empty matches
+// everything).
+func ceCanon(consumer, clarkTopic, mode string) (*mediation.Subscribe, error) {
+	canon := &mediation.Subscribe{
+		Origin:   mediation.Dialect{Family: mediation.FamilyCE},
+		Consumer: wsa.NewEPR(wsa.V200508, consumer),
+		CEMode:   mode,
+	}
+	if clarkTopic != "" {
+		expr, ns, err := ceTopicExpr(clarkTopic)
+		if err != nil {
+			return nil, err
+		}
+		canon.TopicExpr, canon.TopicDialect, canon.TopicNS = expr, topics.DialectConcrete, ns
+	}
+	return canon, nil
 }
 
 // ceTopicExpr converts a Clark-form topic path into the concrete-dialect

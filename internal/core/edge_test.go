@@ -134,6 +134,51 @@ func TestEmptyPullAtBroker(t *testing.T) {
 	}
 }
 
+// TestPullMaxElementsAtBroker: MaxElements bounds a pull; a value that is
+// not a non-negative integer is the spec's InvalidMessage fault, not a
+// silent "everything".
+func TestPullMaxElementsAtBroker(t *testing.T) {
+	f := newFixture(t)
+	s := &wse.Subscriber{Client: f.lb, Version: wse.V200408}
+	h, err := s.Subscribe(context.Background(), "svc://wsm", &wse.SubscribeRequest{
+		NotifyTo: wsa.NewEPR(wsa.V200408, "svc://wse-sink"),
+		Mode:     wse.V200408.DeliveryModePull(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		f.broker.Publish(grid, event(fmt.Sprint(i)))
+	}
+	pull := func(maxElements string) (*soap.Envelope, error) {
+		env := soap.New(soap.V11)
+		wsa.DestinationEPR(h.Manager, wse.V200408.ActionPull(), "urn:test:pull").Apply(env)
+		env.AddBody(xmldom.Elem(wse.NS200408, "Pull", xmldom.Elem(wse.NS200408, "MaxElements", maxElements)))
+		return f.lb.Call(context.Background(), h.Manager.Address, env)
+	}
+	for _, bad := range []string{"lots", "-1", "1.5", "2 apples"} {
+		_, err := pull(bad)
+		var fault *soap.Fault
+		if !errors.As(err, &fault) || fault.Subcode.Local != "InvalidMessage" {
+			t.Errorf("MaxElements %q: err = %v, want InvalidMessage", bad, err)
+		}
+	}
+	// The malformed requests consumed nothing; a bounded pull then takes
+	// exactly its bound, and an explicit 0 means everything, as absence does.
+	for _, tc := range []struct {
+		max  string
+		want int
+	}{{" 2 ", 2}, {"0", 1}} {
+		resp, err := pull(tc.max)
+		if err != nil {
+			t.Fatalf("MaxElements %q: %v", tc.max, err)
+		}
+		if got := len(resp.FirstBody().ChildrenNamed(xmldom.N(wse.NS200408, "Message"))); got != tc.want {
+			t.Errorf("MaxElements %q pulled %d, want %d", tc.max, got, tc.want)
+		}
+	}
+}
+
 func TestPullQueueOverflowAtBroker(t *testing.T) {
 	lb := transport.NewLoopback()
 	b, err := New(Config{Address: "svc://x", Client: lb, SyncDelivery: true, PullQueueCap: 2})

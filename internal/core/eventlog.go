@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/eventlog"
-	"repro/internal/filter"
 	"repro/internal/mediation"
 	"repro/internal/obs"
 	"repro/internal/topics"
@@ -193,13 +192,7 @@ func (b *Broker) ReplayLog(subID string, after uint64, max int) (n int, next uin
 			continue
 		}
 		if st != nil {
-			fm := m.Payload.(fanMsg)
-			ok, err := st.flt.Accepts(filter.Message{
-				Topic:              m.Topic,
-				Payload:            fm.payload,
-				ProducerProperties: b.cfg.Properties,
-			})
-			if err != nil || !ok {
+			if ok, err := b.accepts(st, m); err != nil || !ok {
 				continue
 			}
 		}

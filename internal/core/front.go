@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/filter"
@@ -195,7 +195,8 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 		}
 		return nil, wsnt.FaultUnacceptableTerminationTime(d.WSN, err.Error())
 	}
-	lease := b.register(canon, flt, expires)
+	// Only restoring a snapshot identity can fail; a fresh lease cannot.
+	id, _ := b.newSubscription(&subState{canon: canon, flt: flt}, sublease.Snapshot{Expires: expires})
 
 	out := soap.New(env.Version)
 	switch d.Family {
@@ -204,7 +205,7 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 		b.applyReply(out, env, v.WSAVersion(), v.ActionSubscribeResponse())
 		resp := &wse.SubscribeResponse{
 			Manager: wsa.NewEPR(v.WSAVersion(), b.cfg.ManagerAddress),
-			ID:      lease.ID,
+			ID:      id,
 		}
 		if !expires.IsZero() {
 			resp.Expires = xsdt.FormatDateTime(expires)
@@ -215,7 +216,7 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 		b.applyReply(out, env, v.WSAVersion(), v.ActionSubscribeResponse())
 		resp := &wsnt.SubscribeResponse{
 			SubscriptionReference: wsa.NewEPR(v.WSAVersion(), b.cfg.ManagerAddress),
-			ID:                    lease.ID,
+			ID:                    id,
 			CurrentTime:           xsdt.FormatDateTime(b.cfg.Clock()),
 		}
 		if !expires.IsZero() {
@@ -359,9 +360,12 @@ func (b *Broker) handleManagement(_ context.Context, env *soap.Envelope, d media
 			if _, err := b.store.Get(id); err != nil {
 				return nil, wse.FaultInvalidMessage(v, "unknown subscription "+id)
 			}
-			max := 0
+			max := 0 // absent: everything buffered
 			if m := body.ChildText(xmldom.N(ns, "MaxElements")); m != "" {
-				fmt.Sscanf(m, "%d", &max)
+				var err error
+				if max, err = strconv.Atoi(strings.TrimSpace(m)); err != nil || max < 0 {
+					return nil, wse.FaultInvalidMessage(v, "MaxElements must be a non-negative integer, got "+strconv.Quote(m))
+				}
 			}
 			batch, err := b.engine.Pull(id, max)
 			if err != nil {
@@ -381,30 +385,23 @@ func (b *Broker) handleManagement(_ context.Context, env *soap.Envelope, d media
 		v := d.WSN
 		ns := v.NS()
 		switch body.Name.Local {
-		case "PauseSubscription":
-			if err := b.store.Pause(id); err != nil {
-				// Unknown id → ResourceUnknownFault; a pause that fails for a
-				// known subscription (e.g. an expired lease) is 1.3's
-				// distinct PauseFailedFault.
+		case "PauseSubscription", "ResumeSubscription":
+			op, failed := b.pauseSubscription, wsnt.FaultPauseFailed
+			if body.Name.Local == "ResumeSubscription" {
+				op, failed = b.resumeSubscription, wsnt.FaultResumeFailed
+			}
+			if err := op(id); err != nil {
+				// Unknown id → ResourceUnknownFault; an operation that fails
+				// for a known subscription (e.g. an expired lease) is 1.3's
+				// distinct PauseFailedFault / ResumeFailedFault.
 				if v == wsnt.V1_3 && !errors.Is(err, sublease.ErrNotFound) {
-					return nil, wsnt.FaultPauseFailed(v, err.Error())
+					return nil, failed(v, err.Error())
 				}
 				return nil, wsnt.FaultUnknownSubscription(v, id)
 			}
-			b.engine.Pause(id)
-			b.applyReply(out, env, v.WSAVersion(), ns+"/PauseSubscriptionResponse")
-			out.AddBody(xmldom.NewElement(xmldom.N(ns, "PauseSubscriptionResponse")))
-			return out, nil
-		case "ResumeSubscription":
-			if err := b.store.Resume(id); err != nil {
-				if v == wsnt.V1_3 && !errors.Is(err, sublease.ErrNotFound) {
-					return nil, wsnt.FaultResumeFailed(v, err.Error())
-				}
-				return nil, wsnt.FaultUnknownSubscription(v, id)
-			}
-			b.engine.Resume(id)
-			b.applyReply(out, env, v.WSAVersion(), ns+"/ResumeSubscriptionResponse")
-			out.AddBody(xmldom.NewElement(xmldom.N(ns, "ResumeSubscriptionResponse")))
+			resp := body.Name.Local + "Response"
+			b.applyReply(out, env, v.WSAVersion(), ns+"/"+resp)
+			out.AddBody(xmldom.NewElement(xmldom.N(ns, resp)))
 			return out, nil
 		case "Renew":
 			if !v.SupportsNativeManagement() {

@@ -36,7 +36,7 @@ import (
 //	                      PUBREC; inbound: the federation dedup LRU keyed
 //	                      by packet id suppresses redeliveries
 //
-// Subscriptions are session-bound subState entries (localRaw) compiled
+// Subscriptions are session-bound subState entries (session) compiled
 // through mqtt.ExprForFilter onto the Full topic dialect, so they ride the
 // exact/prefix topic index and count toward the same conservation law
 // (Matched == Delivered + Dropped + Failed + DeadLettered) as SOAP, CE and
@@ -51,6 +51,8 @@ const (
 	// mqttQoS0Timeout is the stingier bound for at-most-once frames: a
 	// consumer that cannot take the write inside it loses the message.
 	mqttQoS0Timeout = 2 * time.Second
+	// mqttConsumerURN is the consumer address of session-bound subscriptions.
+	mqttConsumerURN = "urn:ws-messenger:mqtt"
 )
 
 var errMQTTOffline = errors.New("mqtt: session offline")
@@ -165,8 +167,7 @@ func (f *mqttFront) serve(nc net.Conn) {
 	// must be the first packet on the wire ([MQTT-3.2.0-1]), and a resumed
 	// backlog flushes PUBLISHes as soon as delivery restarts.
 	for _, sub := range resumed {
-		_ = f.b.store.Resume(sub.subID)
-		f.b.engine.Resume(sub.subID)
+		_ = f.b.resumeSubscription(sub.subID) // an expired lease stays dead
 		if t, err := f.b.grantExpiry("", mediation.Dialect{Family: mediation.FamilyCE}); err == nil {
 			_, _ = f.b.renewSubscription(sub.subID, t)
 		}
@@ -268,11 +269,8 @@ func (f *mqttFront) detach(s *mqttSession, conn *mqtt.Conn, graceful bool, will 
 	conn.Close()
 
 	if s.persistent {
-		// Engine first: once the store snapshot reads Paused, matched
-		// messages are already buffering rather than racing a dead socket.
 		for _, sub := range subs {
-			f.b.engine.Pause(sub.subID)
-			_ = f.b.store.Pause(sub.subID)
+			_ = f.b.pauseSubscription(sub.subID) // an expired lease has nothing to buffer
 		}
 	} else {
 		f.mu.Lock()
@@ -466,38 +464,18 @@ func (f *mqttFront) grant(s *mqttSession, flt mqtt.Filter, qos byte) (*mqttSub, 
 	}
 	canon := &mediation.Subscribe{
 		Origin:   mediation.Dialect{Family: mediation.FamilyCE},
-		Consumer: wsa.NewEPR(wsa.V200508, "urn:ws-messenger:mqtt"),
+		Consumer: wsa.NewEPR(wsa.V200508, mqttConsumerURN),
 		CEMode:   mediation.CEStructured,
 	}
 	canon.TopicExpr, canon.TopicDialect, canon.TopicNS = expr, topics.DialectFull, nsm
-	cflt, err := canon.BuildFilter()
-	if err != nil {
-		return nil, err
-	}
-	expires, err := f.b.grantExpiry("", canon.Origin)
-	if err != nil {
-		return nil, err
-	}
 	sub := &mqttSub{filter: flt, qos: qos}
-	st := &subState{canon: canon, flt: cflt, pauseBuffer: s.persistent}
-	if s.persistent {
-		st.failureLimit = -1 // the session, not delivery failures, decides
+	st := &subState{canon: canon, persistent: s.persistent}
+	st.session = func(ctx context.Context, n mediation.Notification) error {
+		return s.deliver(ctx, sub, n)
 	}
-	st.plan = mediation.DeliveryPlan{
-		Dialect:         canon.Origin,
-		ManagerAddress:  f.b.cfg.ManagerAddress,
-		ProducerAddress: f.b.cfg.Address,
-		CEMode:          canon.CEMode,
+	if sub.subID, _, err = f.b.subscribeCE(st); err != nil {
+		return nil, err
 	}
-	lease := f.b.store.CreateFunc(func(id string) any {
-		st.plan.SubscriptionID = id
-		st.localRaw = func(ctx context.Context, n mediation.Notification) error {
-			return s.deliver(ctx, sub, n)
-		}
-		f.b.attach(id, st, false, expires)
-		return st
-	}, expires)
-	sub.subID = lease.ID
 
 	s.mu.Lock()
 	s.subs[flt.String()] = sub

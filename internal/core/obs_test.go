@@ -90,6 +90,44 @@ func TestBrokerObsMetrics(t *testing.T) {
 	}
 }
 
+// TestRenderHistogramFedOnBothTails pins the wsm_mediation_render_seconds
+// feed: one observation per template build or fresh render — never per
+// stamp — whether deliveries post directly or ride the per-destination
+// pool. The pool tail used to feed nothing, so the daemon's default flags
+// read 0.
+func TestRenderHistogramFedOnBothTails(t *testing.T) {
+	for name, batchMax := range map[string]int{"pool off": 0, "pool on": 8} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			rec := obs.NewRecorder(reg, "broker", obs.RecorderConfig{SampleEvery: 1})
+			f := newFixture(t, func(c *Config) { c.Obs, c.BatchMax = rec, batchMax })
+			defer f.broker.Shutdown()
+			if pooled := f.broker.DestWriter() != nil; pooled != (batchMax > 1) {
+				t.Fatalf("dest pool present = %v with BatchMax %d", pooled, batchMax)
+			}
+			// Two render keys per publish: the WSE consumer's, and one the
+			// two WSN 1.3 consumers share (build once, stamp twice).
+			f.subscribeWSE(t, wse.V200408, &wse.SubscribeRequest{})
+			f.subscribeWSN(t, wsnt.V1_3, &wsnt.SubscribeRequest{})
+			f.subscribeWSN(t, wsnt.V1_3, &wsnt.SubscribeRequest{})
+			f.publishWSE(t, grid, event("a"))
+			f.publishWSN(t, grid, event("b"))
+			f.broker.Flush()
+			text := scrape(t, reg)
+			for _, want := range []string{
+				`wsm_delivered_total{component="broker"} 6`,
+				`wsm_mediation_render_seconds_count{component="broker"} 4`,
+				`wsm_render_cache_misses_total{component="broker"} 4`,
+				`wsm_render_cache_hits_total{component="broker"} 2`,
+			} {
+				if !strings.Contains(text, want+"\n") {
+					t.Errorf("exposition missing %q", want)
+				}
+			}
+		})
+	}
+}
+
 // TestHealthzFlipsOnOpenBreaker drives a consumer with the fault injector
 // until its circuit breaker opens and asserts /healthz flips 200 → 503,
 // naming the failed check.

@@ -99,7 +99,7 @@ func (b *Broker) SaveSubscriptions(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		if st.local != nil || st.localRaw != nil {
+		if st.session != nil {
 			// Connection-bound (WebSocket) and session-bound (MQTT)
 			// subscriptions cannot outlive the process; a restarted broker
 			// could never deliver to them.
@@ -170,6 +170,9 @@ func (b *Broker) RestoreSubscriptions(r io.Reader) (int, error) {
 	}
 	restored := 0
 	for _, ps := range state.Subscriptions {
+		if ps.ID == "" {
+			return restored, fmt.Errorf("core: restore: subscription without an id")
+		}
 		consumer, err := eprIn(ps.Consumer)
 		if err != nil {
 			return restored, fmt.Errorf("core: restore %s: %w", ps.ID, err)
@@ -199,22 +202,11 @@ func (b *Broker) RestoreSubscriptions(r io.Reader) (int, error) {
 		if err != nil {
 			return restored, fmt.Errorf("core: restore %s: filter: %w", ps.ID, err)
 		}
-		st := &subState{canon: canon, flt: flt}
-		st.plan = mediation.DeliveryPlan{
-			Dialect:         canon.Origin,
-			UseRaw:          canon.UseRaw,
-			SubscriptionID:  ps.ID,
-			ManagerAddress:  b.cfg.ManagerAddress,
-			ProducerAddress: b.cfg.Address,
-			CEMode:          canon.CEMode,
-		}
-		if err := b.store.Restore(sublease.Snapshot{
-			ID: ps.ID, CreatedAt: ps.CreatedAt, Expires: ps.Expires,
-			Paused: ps.Paused, Data: st,
+		if _, err := b.newSubscription(&subState{canon: canon, flt: flt}, sublease.Snapshot{
+			ID: ps.ID, CreatedAt: ps.CreatedAt, Expires: ps.Expires, Paused: ps.Paused,
 		}); err != nil {
 			return restored, err
 		}
-		b.attach(ps.ID, st, ps.Paused, ps.Expires)
 		restored++
 	}
 	return restored, nil

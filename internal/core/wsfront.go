@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/cloudevents"
 	"repro/internal/mediation"
-	"repro/internal/topics"
-	"repro/internal/wsa"
 	"repro/internal/wspush"
 )
 
@@ -46,6 +44,8 @@ const (
 	// wsOutDepth bounds the per-connection outbound frame queue; a full
 	// queue pushes back into the subscriber's dispatch queue.
 	wsOutDepth = 64
+	// wsConsumerURN is the consumer address of connection-bound subscriptions.
+	wsConsumerURN = "urn:ws-messenger:websocket"
 )
 
 // wsRequest is a client→broker session frame.
@@ -226,7 +226,7 @@ func (s *wsSession) handle(p []byte) {
 	}
 	switch req.Action {
 	case "subscribe":
-		id, err := s.b.SubscribeLocal(req.Topic, s.deliver)
+		id, err := s.subscribe(req.Topic)
 		if err != nil {
 			s.reply(wsReply{Action: "error", Error: err.Error()})
 			return
@@ -267,11 +267,13 @@ func (s *wsSession) reply(r wsReply) {
 }
 
 // deliver is the dispatch-side delivery hook for this session's
-// subscriptions: it frames the rendered CloudEvent and enqueues it. A full
-// queue blocks until the delivery context gives up, feeding the
-// subscription's retry policy exactly like a slow HTTP consumer.
-func (s *wsSession) deliver(ctx context.Context, sid string, event []byte) error {
-	b, _ := json.Marshal(wsReply{Action: "event", SID: sid, Event: event})
+// subscriptions: it renders the notification as a CloudEvents
+// structured-mode body, frames it and enqueues it. A full queue blocks
+// until the delivery context gives up, feeding the subscription's retry
+// policy exactly like a slow HTTP consumer.
+func (s *wsSession) deliver(ctx context.Context, st *subState, n mediation.Notification) error {
+	event, _ := mediation.RenderCE(n, st.plan, s.b.nextMessageID())
+	b, _ := json.Marshal(wsReply{Action: "event", SID: st.plan.SubscriptionID, Event: event})
 	select {
 	case s.out <- b:
 		return nil
@@ -282,47 +284,19 @@ func (s *wsSession) deliver(ctx context.Context, sid string, event []byte) error
 	}
 }
 
-// SubscribeLocal creates a connection-bound subscription delivering
-// CloudEvents structured-mode bodies through deliver instead of a network
-// transport. clarkTopic optionally filters ("{ns}a/b"; empty matches
-// everything). Local subscriptions ride the same dispatch queues, retry
-// policies and conservation accounting as remote ones, but are skipped by
-// subscription snapshots — they cannot outlive their connection.
-func (b *Broker) SubscribeLocal(clarkTopic string, deliver func(ctx context.Context, sid string, event []byte) error) (string, error) {
-	canon := &mediation.Subscribe{
-		Origin:   mediation.Dialect{Family: mediation.FamilyCE},
-		Consumer: wsa.NewEPR(wsa.V200508, "urn:ws-messenger:websocket"),
-		CEMode:   mediation.CEStructured,
-	}
-	if clarkTopic != "" {
-		expr, ns, err := ceTopicExpr(clarkTopic)
-		if err != nil {
-			return "", err
-		}
-		canon.TopicExpr, canon.TopicDialect, canon.TopicNS = expr, topics.DialectConcrete, ns
-	}
-	flt, err := canon.BuildFilter()
+// subscribe creates a connection-bound subscription, optionally filtered
+// by a Clark-form topic. It rides the same dispatch queues, retry policies
+// and conservation accounting as a remote one, but is skipped by
+// subscription snapshots — it cannot outlive its connection.
+func (s *wsSession) subscribe(clarkTopic string) (string, error) {
+	canon, err := ceCanon(wsConsumerURN, clarkTopic, mediation.CEStructured)
 	if err != nil {
 		return "", err
 	}
-	expires, err := b.grantExpiry("", canon.Origin)
-	if err != nil {
-		return "", err
+	st := &subState{canon: canon}
+	st.session = func(ctx context.Context, n mediation.Notification) error {
+		return s.deliver(ctx, st, n)
 	}
-	st := &subState{canon: canon, flt: flt}
-	st.plan = mediation.DeliveryPlan{
-		Dialect:         canon.Origin,
-		ManagerAddress:  b.cfg.ManagerAddress,
-		ProducerAddress: b.cfg.Address,
-		CEMode:          canon.CEMode,
-	}
-	lease := b.store.CreateFunc(func(id string) any {
-		st.plan.SubscriptionID = id
-		st.local = func(ctx context.Context, event []byte) error {
-			return deliver(ctx, id, event)
-		}
-		b.attach(id, st, false, expires)
-		return st
-	}, expires)
-	return lease.ID, nil
+	id, _, err := s.b.subscribeCE(st)
+	return id, err
 }
