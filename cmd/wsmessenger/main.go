@@ -37,18 +37,15 @@
 // MQTT publishers reach SOAP/CloudEvents/WebSocket subscribers and vice
 // versa.
 //
-// Delivery batching: outbound notifications are grouped by destination
-// host and coalesced into multi-NotificationMessage envelopes by async
-// per-host writers over a pooled keep-alive transport. -batch-max caps
-// entries per envelope (1 disables batching), -batch-window bounds the
-// coalescing wait, and -max-conns-per-host caps outbound sockets per
-// destination.
-//
-// Delivery pipelining: each destination host runs up to
-// -max-inflight-per-host concurrent sends (clamped to the connection
-// cap); with -adaptive-window (the default) an AIMD controller grows the
-// window on sustained success and halves it on timeouts or 5xx, so slow
-// or flaky hosts back off to the serial writer on their own.
+// Delivery batching and pipelining: outbound notifications are grouped by
+// destination host and coalesced into multi-NotificationMessage envelopes
+// over a pooled keep-alive transport, up to 64 entries per envelope after
+// a coalescing wait of at most 2 ms. Each host runs up to 4 concurrent
+// sends; an AIMD controller grows that window on sustained success and
+// halves it on timeouts or 5xx, so slow or flaky hosts back off to one
+// send at a time on their own. These values are fixed (the outbound
+// constants below); the connection cap per host and the dispatch worker
+// cap are their packages' defaults.
 //
 // Federation: give each broker an identity and point it at its peers —
 //
@@ -93,17 +90,21 @@ func (p *peerList) Set(v string) error {
 	return nil
 }
 
+// The outbound tuning the daemon runs with: entries per coalesced envelope,
+// the coalescing wait, and the per-host in-flight window with its AIMD
+// governor. Embedders set other values through core.Config.
+const (
+	batchMax           = 64
+	batchWindow        = 2 * time.Millisecond
+	maxInflightPerHost = 4
+	adaptiveWindow     = true
+)
+
 func main() {
 	listen := flag.String("listen", ":8891", "HTTP listen address")
 	external := flag.String("external", "", "externally visible base URL (default http://<listen>)")
 	scavenge := flag.Duration("scavenge", 30*time.Second, "subscription scavenge interval")
 	queueDepth := flag.Int("queue", 256, "per-subscriber delivery queue depth")
-	batchMax := flag.Int("batch-max", 64, "max notifications coalesced into one delivery envelope (1 disables per-destination batching)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a per-destination writer waits to coalesce before flushing")
-	maxConnsPerHost := flag.Int("max-conns-per-host", 0, "outbound connection cap per destination host (0 = pool default)")
-	maxInflight := flag.Int("max-inflight-per-host", 4, "concurrent in-flight deliveries per destination host (1 = serial writer; clamped to -max-conns-per-host)")
-	adaptiveWindow := flag.Bool("adaptive-window", true, "govern the per-host in-flight window with AIMD between 1 and -max-inflight-per-host (false pins it at the maximum)")
-	maxWorkers := flag.Int("max-dispatch-workers", 0, "cap on the dynamically scaled delivery worker pool (0 = 8x GOMAXPROCS, at least 32)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints at /debug/pprof/ on the admin mux")
 	stateFile := flag.String("state", "", "subscription snapshot file: restored on start, written on shutdown")
 	dataDir := flag.String("data-dir", "", "durable event log directory: every accepted publish is appended (and recovered on boot)")
@@ -134,10 +135,7 @@ func main() {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, "broker")
 	client := &transport.HTTPClient{
-		HC: transport.NewPooledHTTPClient(transport.PoolConfig{
-			MaxConnsPerHost: *maxConnsPerHost,
-			Timeout:         15 * time.Second,
-		}),
+		HC:  transport.NewPooledHTTPClient(transport.PoolConfig{Timeout: 15 * time.Second}),
 		Obs: obs.NewTransportMetrics(reg, "broker"),
 	}
 	broker, err := core.New(core.Config{
@@ -145,12 +143,10 @@ func main() {
 		ManagerAddress:     base + "/manage",
 		Client:             client,
 		QueueDepth:         *queueDepth,
-		BatchMax:           *batchMax,
-		BatchWindow:        *batchWindow,
-		MaxInflightPerHost: *maxInflight,
-		AdaptiveWindow:     *adaptiveWindow,
-		MaxConnsPerHost:    *maxConnsPerHost,
-		MaxDispatchWorkers: *maxWorkers,
+		BatchMax:           batchMax,
+		BatchWindow:        batchWindow,
+		MaxInflightPerHost: maxInflightPerHost,
+		AdaptiveWindow:     adaptiveWindow,
 		BrokerID:           *brokerID,
 		DataDir:            *dataDir,
 		Durability:         *durability,
@@ -225,7 +221,13 @@ func main() {
 		log.Printf("wsmessenger: pprof profiling exposed at %s/debug/pprof/", base)
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: mux}
+	// No ReadTimeout/WriteTimeout: they would cut /ws upgrades and long pulls.
+	srv := &http.Server{
+		Addr:              *listen,
+		Handler:           mux,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	go broker.Store().Run(ctx, *scavenge)

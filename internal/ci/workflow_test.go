@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -100,6 +101,7 @@ func TestWorkflowRequiredShape(t *testing.T) {
 		"run: make check",         // the tier-1 gate
 		"run: make wsbench-check", // the nested cmd/wsbench module, invisible to ./...
 		"run: make fmt-check",     // gofmt -l, fail on diff
+		"run: make loc",           // non-test line ceilings of core/dispatch/destwriter
 		"run: make golden",        // wire-format golden probes
 		"run: make metrics-race",  // -race over obs/dispatch/core
 		"run: make metrics-smoke", // live /metrics + /healthz scrape
@@ -189,7 +191,7 @@ func TestMakeCIMirrorsWorkflow(t *testing.T) {
 	for _, p := range prereqs {
 		have[p] = true
 	}
-	for _, want := range []string{"check", "wsbench-check", "fmt-check", "golden", "metrics-race", "metrics-smoke", "cover", "crash-smoke", "bench-gate", "load-smoke", "interop-smoke"} {
+	for _, want := range []string{"check", "wsbench-check", "fmt-check", "loc", "golden", "metrics-race", "metrics-smoke", "cover", "crash-smoke", "bench-gate", "load-smoke", "interop-smoke"} {
 		if !have[want] {
 			t.Errorf("make ci must depend on %q (got %v)", want, prereqs)
 		}
@@ -255,6 +257,60 @@ func TestWsbenchCheckTargetPinned(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(repoRoot(t), "cmd", "wsbench", "go.mod")); err != nil {
 		t.Errorf("cmd/wsbench must stay a nested module: %v", err)
+	}
+}
+
+// TestLocCeilingsPinned keeps the tracked size outcome from drifting back:
+// `make loc` must carry a ceiling for each of the three packages and fail
+// past it, and the packages must be within their ceilings right now — so
+// plain `go test ./...` catches growth even where nobody runs make.
+func TestLocCeilingsPinned(t *testing.T) {
+	root := repoRoot(t)
+	raw, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	if !strings.Contains(text, "exit $$fail") {
+		t.Error("make loc must exit non-zero when a package is past its ceiling")
+	}
+	m := regexp.MustCompile(`(?m)^LOC_CEILINGS = (.*)$`).FindStringSubmatch(text)
+	if m == nil {
+		t.Fatal("Makefile lacks a LOC_CEILINGS line")
+	}
+	ceilings := map[string]int{}
+	for _, pc := range strings.Fields(m[1]) {
+		name, max, ok := strings.Cut(pc, ":")
+		n, err := strconv.Atoi(max)
+		if !ok || err != nil {
+			t.Fatalf("LOC_CEILINGS entry %q is not package:lines", pc)
+		}
+		ceilings[name] = n
+	}
+	for _, pkg := range []string{"core", "dispatch", "destwriter"} {
+		max, ok := ceilings[pkg]
+		if !ok {
+			t.Errorf("LOC_CEILINGS lacks internal/%s", pkg)
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines += strings.Count(string(src), "\n")
+		}
+		if lines > max {
+			t.Errorf("internal/%s has %d non-test lines, ceiling %d", pkg, lines, max)
+		}
 	}
 }
 

@@ -84,19 +84,19 @@ type Config struct {
 	QueueDepth int
 	// BatchMax enables per-destination delivery batching when > 1: queued
 	// subscribers hand up to BatchMax messages per delivery cycle to a
-	// per-destination writer pool (one bounded-queue goroutine per active
-	// host, reaped when idle), which coalesces frame-equal WSN 1.3 wrapped
+	// per-destination writer pool (one bounded queue per destination
+	// host, drained on demand), which coalesces frame-equal WSN 1.3 wrapped
 	// deliveries into one multi-NotificationMessage envelope per round
 	// trip. Requires a Client with a raw-bytes path (transport.BytesClient)
 	// — without one the knob is ignored. Zero disables (the default).
 	BatchMax int
-	// BatchWindow is how long a destination writer waits after its first
-	// dequeue for more batches to coalesce (zero = purely opportunistic).
+	// BatchWindow is how long a destination's round stays open after its
+	// first batch for more to coalesce (zero = purely opportunistic).
 	BatchWindow time.Duration
 	// MaxInflightPerHost caps concurrent in-flight sends per destination
-	// host: 1 (or zero, the default) keeps the serial writer, higher
-	// values let the writer pipeline flush rounds through up to that many
-	// concurrent senders. Clamped to MaxConnsPerHost.
+	// host: 1 (or zero, the default) sends one round at a time, higher
+	// values pipeline flush rounds through up to that many concurrent
+	// flights. Clamped to MaxConnsPerHost.
 	MaxInflightPerHost int
 	// AdaptiveWindow governs the per-host in-flight window with an AIMD
 	// controller inside [1, MaxInflightPerHost] instead of pinning it at
@@ -108,7 +108,7 @@ type Config struct {
 	// writers never hold more in-flight sends to one host than this, so
 	// connection accounting stays exact.
 	MaxConnsPerHost int
-	// MaxDispatchWorkers caps the dispatch engine's dynamically scaled
+	// MaxDispatchWorkers caps the dispatch engine's drain-on-demand
 	// delivery worker pool (default: the engine's own cap, 8×GOMAXPROCS
 	// and at least 32). Delivery workers spend their lives blocked on the
 	// wire, not the CPU, so deployments fanning out to many slow
@@ -414,7 +414,7 @@ func New(cfg Config) (*Broker, error) {
 				"Subscriber deliveries carried per wire send (1 = no coalescing).",
 				nil, comp)
 			reg.GaugeFunc("wsm_dest_active_writers",
-				"Per-destination writer goroutines currently alive.",
+				"Destination hosts the writer pool holds state for (hosts with work, plus quiet ones not yet swept).",
 				func() float64 { return float64(b.dest.ActiveWriters()) }, comp)
 			reg.GaugeFunc("wsm_dest_queue_depth",
 				"Batches queued across all destination writers, not yet flushed.",
@@ -441,7 +441,7 @@ func New(cfg Config) (*Broker, error) {
 				"Pipelined sends currently in flight across destination hosts.",
 				func() float64 { return float64(b.dest.Inflight()) }, comp)
 			reg.GaugeFunc("wsm_dest_window",
-				"Widest current per-host in-flight window (0 with no live writers).",
+				"Widest current per-host in-flight window (0 before the first delivery).",
 				func() float64 { return float64(b.dest.Window()) }, comp)
 			reg.CounterFunc("wsm_dest_window_decreases_total",
 				"AIMD multiplicative decreases of a per-host in-flight window.",
@@ -730,11 +730,11 @@ func selectorFor(flt filter.All) dispatch.Selector {
 // attach registers a subscription with the dispatch engine, picking its
 // sink from the canonical delivery options: WSE pull mode becomes a
 // broker-side Pull buffer (drop-oldest at PullQueueCap); WSE wrapped mode
-// becomes Sync batching at WrapBatchSize into deliverWrapped; a session
+// hands deliverWrapped up to WrapBatchSize messages at a time; a session
 // subscription (/ws, MQTT) is handed the un-rendered notification
 // in-process; everything else is an HTTP consumer served by deliver. The
-// two push sinks run through a bounded drop-newest queue drained by the
-// shared worker pool, or inline under SyncDelivery.
+// three push sinks run through a bounded drop-newest queue drained by the
+// shared worker pool, or inline (wrapped: in full batches) under SyncDelivery.
 func (b *Broker) attach(id string, st *subState, paused bool, expires time.Time) {
 	// clone isolates pull-buffer and wrapped-batch copies; the render set
 	// is deliberately dropped — those buffers outlive the publish, and the
@@ -790,7 +790,7 @@ func (b *Broker) attach(id string, st *subState, paused bool, expires time.Time)
 		sub.Overflow = dispatch.DropOldest
 		sub.Prepare = clone
 	case st.canon.WrapMode:
-		sub.Mode = dispatch.Sync
+		push()
 		sub.Batch = b.cfg.WrapBatchSize
 		sub.Prepare = clone
 		sub.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {

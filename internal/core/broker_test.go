@@ -348,6 +348,38 @@ func TestWSEWrappedModeThroughBroker(t *testing.T) {
 	}
 }
 
+// TestWSEWrappedPartialBatchArrivesUnflushed: on a broker with queued
+// delivery (the daemon's mode) a wrapped-mode subscriber receives a batch
+// shorter than WrapBatchSize without anyone calling Flush — the queued
+// drain hands over whatever is backlogged instead of parking it until the
+// tenth message.
+func TestWSEWrappedPartialBatchArrivesUnflushed(t *testing.T) {
+	f := newFixture(t, func(c *Config) { c.SyncDelivery = false })
+	defer f.broker.Shutdown()
+	arrived := make(chan wse.Notification, 8)
+	f.wseSink.OnNotify = func(n wse.Notification) { arrived <- n }
+	s := &wse.Subscriber{Client: f.lb, Version: wse.V200408}
+	if _, err := s.Subscribe(context.Background(), "svc://wsm", &wse.SubscribeRequest{
+		NotifyTo: wsa.NewEPR(wsa.V200408, "svc://wse-sink"),
+		Mode:     wse.V200408.DeliveryModeWrap(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		f.publishWSN(t, grid, event("w"))
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case n := <-arrived:
+			if !n.Wrapped {
+				t.Error("delivery not flagged wrapped")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("notification %d of 3 never arrived (partial wrapped batch parked)", i+1)
+		}
+	}
+}
+
 func TestContentFilterMediation(t *testing.T) {
 	// A WSE subscriber's XPath filter applies to WSN-published messages.
 	f := newFixture(t)

@@ -1,9 +1,14 @@
 // Package destwriter is the per-destination delivery layer: it groups
-// outbound notifications by destination host, runs one bounded-queue writer
-// goroutine per active host (spawned on demand, reaped when idle), and —
-// where the subscriber's dialect allows it — coalesces multiple pending
-// Notify payloads for the same destination into a single WSN 1.3
+// outbound notifications by destination host, keeps one bounded queue per
+// host, and — where the subscriber's dialect allows it — coalesces multiple
+// pending Notify payloads for the same destination into a single WSN 1.3
 // multi-NotificationMessage envelope.
+//
+// Scheduling is drain on demand: a host owns no goroutine. Whoever makes
+// progress possible — the Deliver that enqueues, the BatchWindow timer it
+// arms, or a flight that just finished — collects the next round under the
+// pool lock and starts a flight for it; the only goroutines are flights, and
+// a host with no work is just an idle map entry.
 //
 // The paper's comparative measurements, and the render-once work that
 // followed them (B13), leave one linear cost in the fan-out path: one HTTP
@@ -17,9 +22,9 @@
 //
 // Pipelining: batching alone still leaves each host exactly one in-flight
 // request, so a host's throughput is bounded by 1/RTT envelopes per second
-// no matter how much is queued. With MaxInflightPerHost > 1 the writer
-// keeps popping and coalescing rounds but hands each round to a concurrent
-// sender slot, up to a per-host window W. W is either pinned at the
+// no matter how much is queued. With MaxInflightPerHost > 1 a host keeps
+// collecting and coalescing rounds while fewer than W flights are out, W
+// being the per-host window. W is either pinned at the
 // configured maximum or, with AdaptiveWindow, governed by an AIMD
 // controller: +1 after a full window of consecutive successful sends,
 // halved (floor 1) on any send failure — timeouts, 5xx and refused
@@ -29,10 +34,11 @@
 // accounting stays exact.
 //
 // Ordering: batches carrying the same non-empty Key (the subscription id)
-// are never in flight concurrently. A round that would overlap an in-flight
-// key is held back and re-dispatched, in arrival order, when the
-// conflicting flight completes — entries for one subscriber never ride two
-// windows out of order, whatever the window size.
+// are never in flight concurrently: collecting a round skips a batch while
+// its key is in flight (and every later batch of that key, so they stay in
+// arrival order) and picks it up when the conflicting flight completes —
+// entries for one subscriber never ride two windows out of order, whatever
+// the window size.
 //
 // Backpressure: each host's queue is bounded. A Deliver into a full queue
 // blocks until space frees or the caller's context expires — and the
@@ -98,19 +104,14 @@ type Config struct {
 	NextMessageID func() string
 	// BatchMax caps entries per coalesced envelope. Default 64.
 	BatchMax int
-	// BatchWindow is how long a writer waits after its first dequeue for
+	// BatchWindow is how long a round stays open after its first batch for
 	// more batches to coalesce. Zero (the default) is purely opportunistic:
 	// whatever is already queued coalesces, nothing waits.
 	BatchWindow time.Duration
 	// QueueDepth bounds each host's pending queue. Default 1024.
 	QueueDepth int
-	// IdleTimeout reaps a host's writer goroutine after this long without
-	// traffic. Default 5s.
-	IdleTimeout time.Duration
-	// SendTimeout bounds each wire send. Default 10s.
-	SendTimeout time.Duration
 	// MaxInflightPerHost caps concurrent in-flight flush rounds per host.
-	// Default 1: the serial writer, one request on the wire at a time.
+	// Default 1: one request on the wire at a time.
 	// Values above ConnCap are clamped to it.
 	MaxInflightPerHost int
 	// AdaptiveWindow, when true, governs each host's in-flight window with
@@ -143,20 +144,6 @@ func (c Config) queueDepth() int {
 	return 1024
 }
 
-func (c Config) idleTimeout() time.Duration {
-	if c.IdleTimeout > 0 {
-		return c.IdleTimeout
-	}
-	return 5 * time.Second
-}
-
-func (c Config) sendTimeout() time.Duration {
-	if c.SendTimeout > 0 {
-		return c.SendTimeout
-	}
-	return 10 * time.Second
-}
-
 func (c Config) maxInflight() int {
 	w := c.MaxInflightPerHost
 	if w <= 0 {
@@ -175,41 +162,38 @@ type pending struct {
 	done chan error
 }
 
-// writer is one host's delivery goroutine plus its in-flight window state.
-type writer struct {
-	host    string
-	ch      chan *pending
-	pool    *Pool
-	closing bool // set under pool.mu; enqueuers must spawn a successor
-
-	// inflight counts Deliver calls that hold a reference to this writer
-	// and may still enqueue. Incremented under pool.mu; a writer only
-	// reaps when it is zero AND the queue is empty, so a reference can
-	// never outlive its writer.
-	inflight atomic.Int64
-
-	// wake is pulsed by completing flights so the run loop re-examines
-	// held batches without polling.
-	wake chan struct{}
-
-	mu     sync.Mutex
-	slot   *sync.Cond     // signalled when a flight completes or the window grows
-	window int            // current AIMD window, in [1, maxInflight]
-	streak int            // consecutive successful sends since the last increase
-	sends  int            // flush rounds currently in flight
-	busy   map[string]int // ordering keys claimed by in-flight rounds
-	held   []*pending     // batches deferred on a key conflict, arrival order
-	heldKy map[string]int // keys present in held, so new rounds queue behind
+// host is one destination's queue and in-flight window state, all guarded
+// by Pool.mu.
+type host struct {
+	q      []*pending      // waiting batches, arrival order, bounded by QueueDepth
+	round  []*pending      // the open round: collected, waiting out its BatchWindow
+	timer  *time.Timer     // the open round's BatchWindow deadline, nil when unarmed
+	space  chan struct{}   // closed when q shrinks; nil while no Deliver waits on a full q
+	window int             // current AIMD window, in [1, maxInflight]
+	streak int             // consecutive successful sends since the last increase
+	sends  int             // flush rounds currently in flight
+	busy   map[string]bool // ordering keys claimed by in-flight rounds
 }
 
-// Pool owns the per-host writers.
+// quiet reports a host with nothing queued, collected or in flight.
+func (h *host) quiet() bool { return len(h.q) == 0 && len(h.round) == 0 && h.sends == 0 }
+
+// wake releases every Deliver blocked on the full queue to look again.
+func (h *host) wake() {
+	if h.space != nil {
+		close(h.space)
+		h.space = nil
+	}
+}
+
+// Pool owns the per-host queues.
 type Pool struct {
-	cfg  Config
-	mu   sync.Mutex
-	host map[string]*writer
-	quit chan struct{}
-	done bool
-	wg   sync.WaitGroup
+	cfg     Config
+	mu      sync.Mutex
+	host    map[string]*host
+	sweepAt int // map size at which quiet hosts are dropped
+	done    bool
+	wg      sync.WaitGroup // flights
 
 	envelopes  atomic.Uint64 // coalesced envelopes sent
 	entries    atomic.Uint64 // entries carried by coalesced envelopes
@@ -226,12 +210,12 @@ func NewPool(cfg Config) *Pool {
 	if cfg.Send == nil {
 		panic("destwriter: Config.Send is required")
 	}
-	return &Pool{cfg: cfg, host: map[string]*writer{}, quit: make(chan struct{})}
+	return &Pool{cfg: cfg, host: map[string]*host{}, sweepAt: minSweep}
 }
 
 // hostOf extracts the grouping key from a consumer address: the URL
 // authority for http(s) endpoints (subscribers behind one host share a
-// writer and its connections), the full address otherwise.
+// queue and its connections), the full address otherwise.
 func hostOf(addr string) string {
 	rest := addr
 	if i := strings.Index(rest, "://"); i >= 0 {
@@ -248,37 +232,32 @@ func hostOf(addr string) string {
 	return rest
 }
 
-// writerFor returns the live writer for a host, spawning one if none
-// exists (or the existing one is closing), with the caller registered as
-// inflight — the reap protocol's guarantee that the returned writer stays
-// alive until release.
-func (p *Pool) writerFor(host string) (*writer, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.done {
-		return nil, ErrClosed
-	}
-	w := p.host[host]
-	if w == nil || w.closing {
-		w = &writer{
-			host:   host,
-			ch:     make(chan *pending, p.cfg.queueDepth()),
-			pool:   p,
-			wake:   make(chan struct{}, 1),
-			window: 1,
-			busy:   map[string]int{},
-			heldKy: map[string]int{},
+// minSweep is the smallest host-map size at which quiet hosts are dropped.
+const minSweep = 64
+
+// hostFor returns the host's entry, creating it on first use. A quiet host
+// keeps its entry — and with it the window the AIMD controller learned —
+// until the map has doubled since the last sweep; then every quiet entry
+// goes, so the map stays proportional to the hosts that have work. Callers
+// hold p.mu.
+func (p *Pool) hostFor(name string) *host {
+	h := p.host[name]
+	if h == nil {
+		if len(p.host) >= p.sweepAt {
+			for n, old := range p.host {
+				if old.quiet() {
+					delete(p.host, n)
+				}
+			}
+			p.sweepAt = 2*len(p.host) + minSweep
 		}
-		w.slot = sync.NewCond(&w.mu)
-		p.host[host] = w
-		p.wg.Add(1)
-		go w.run()
+		h = &host{window: 1, busy: map[string]bool{}}
+		p.host[name] = h
 	}
-	w.inflight.Add(1)
-	return w, nil
+	return h
 }
 
-// Deliver hands one subscriber's batch to its destination writer and
+// Deliver queues one subscriber's batch for its destination host and
 // blocks until the batch is sent (nil), suppressed (ErrCanceled), failed
 // (the wire error), or the context expires. Blocking is the backpressure:
 // the bounded host queue pushes sustained pressure back into the dispatch
@@ -287,26 +266,37 @@ func (p *Pool) Deliver(ctx context.Context, b *Batch) error {
 	if len(b.Entries) == 0 {
 		return nil
 	}
-	w, err := p.writerFor(hostOf(b.Addr))
-	if err != nil {
-		return err
-	}
+	name := hostOf(b.Addr)
 	pd := &pending{b: b, done: make(chan error, 1)}
-	select {
-	case w.ch <- pd:
-		w.inflight.Add(-1)
-	case <-ctx.Done():
-		w.inflight.Add(-1)
-		return ctx.Err()
-	case <-p.quit:
-		w.inflight.Add(-1)
-		return ErrClosed
+	for {
+		p.mu.Lock()
+		if p.done {
+			p.mu.Unlock()
+			return ErrClosed
+		}
+		h := p.hostFor(name)
+		if len(h.q) < p.cfg.queueDepth() {
+			h.q = append(h.q, pd)
+			p.pump(h, false)
+			p.mu.Unlock()
+			break
+		}
+		if h.space == nil {
+			h.space = make(chan struct{})
+		}
+		space := h.space
+		p.mu.Unlock()
+		select {
+		case <-space:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	select {
 	case err := <-pd.done:
 		return err
 	case <-ctx.Done():
-		// The writer still owns the batch and may yet send it; done is
+		// The host still owns the batch and may yet send it; done is
 		// buffered so its completion is never lost, just unobserved. The
 		// caller's retry layer treats this attempt as failed — the same
 		// at-least-once contract every retried send already has.
@@ -314,8 +304,10 @@ func (p *Pool) Deliver(ctx context.Context, b *Batch) error {
 	}
 }
 
-// Close stops every writer after settling its in-flight sends and draining
-// its queue. Deliver calls racing Close fail with ErrClosed.
+// Close flushes every host's queue, window and key order still honoured but
+// no BatchWindow waited out, and returns when the last flight has landed.
+// Deliver calls racing Close either made the queue, and are sent, or fail
+// with ErrClosed.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.done {
@@ -323,29 +315,31 @@ func (p *Pool) Close() {
 		return
 	}
 	p.done = true
+	for _, h := range p.host {
+		h.wake()
+		p.pump(h, true)
+	}
 	p.mu.Unlock()
-	close(p.quit)
 	p.wg.Wait()
 }
 
-// ActiveWriters reports the number of live per-host writer goroutines.
+// ActiveWriters reports the hosts the pool holds state for: every host with
+// work, plus the quiet ones not yet swept.
 func (p *Pool) ActiveWriters() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.host)
 }
 
-// QueueDepth reports the total number of queued (not yet flushed) batches
-// across all hosts, including batches held back on an ordering conflict.
+// QueueDepth reports the total number of queued batches across all hosts:
+// those waiting for a free window slot or for a same-key flight to land,
+// not the round already collected.
 func (p *Pool) QueueDepth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for _, w := range p.host {
-		n += len(w.ch)
-		w.mu.Lock()
-		n += len(w.held)
-		w.mu.Unlock()
+	for _, h := range p.host {
+		n += len(h.q)
 	}
 	return n
 }
@@ -373,26 +367,21 @@ func (p *Pool) Inflight() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for _, w := range p.host {
-		w.mu.Lock()
-		n += w.sends
-		w.mu.Unlock()
+	for _, h := range p.host {
+		n += h.sends
 	}
 	return n
 }
 
-// Window reports the widest current per-host in-flight window, 0 when no
-// writer is live. With AdaptiveWindow off this is the configured (clamped)
-// maximum whenever any host is active.
+// Window reports the widest current per-host in-flight window, 0 when the
+// pool knows no host. With AdaptiveWindow off this is the configured
+// (clamped) maximum.
 func (p *Pool) Window() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	max := 0
-	for _, w := range p.host {
-		w.mu.Lock()
-		cur := w.curWindow()
-		w.mu.Unlock()
-		if cur > max {
+	for _, h := range p.host {
+		if cur := p.window(h); cur > max {
 			max = cur
 		}
 	}
@@ -418,280 +407,143 @@ func (p *Pool) CoalesceRatio() float64 {
 	return float64(p.entries.Load()+p.rawSends.Load()) / float64(sends)
 }
 
-// tryReap removes w from the pool if no Deliver holds a reference, its
-// queue is empty, nothing is held back, and no send is in flight. Called
-// from w's own goroutine on idle timeout. The in-flight condition is what
-// makes reaping safe under pipelining: a flight completes against its
-// writer's window state, so the writer must outlive every flight it
-// launched.
-func (p *Pool) tryReap(w *writer) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if w.inflight.Load() > 0 || len(w.ch) > 0 {
-		return false
+// window returns h's effective window. Callers hold p.mu.
+func (p *Pool) window(h *host) int {
+	if !p.cfg.AdaptiveWindow {
+		return p.cfg.maxInflight()
 	}
-	w.mu.Lock()
-	quiet := w.sends == 0 && len(w.held) == 0
-	w.mu.Unlock()
-	if !quiet {
-		return false
-	}
-	w.closing = true
-	if p.host[w.host] == w {
-		delete(p.host, w.host)
-	}
-	return true
+	return h.window
 }
 
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
-}
-
-func (w *writer) run() {
-	defer w.pool.wg.Done()
-	idle := time.NewTimer(w.pool.cfg.idleTimeout())
-	defer idle.Stop()
+// pump is the one scheduling step, run under p.mu by whoever may have made
+// progress possible. While the window has a free slot it collects a round
+// from the queue; the round flies at once when it is full, when no
+// BatchWindow is configured or when flush says its window has run out (the
+// timer, or Close), and otherwise stays open behind a BatchWindow timer,
+// topped up by every later pump. At most one round is open per host, and
+// one is opened only below the window, so flights never exceed it.
+func (p *Pool) pump(h *host, flush bool) {
+	max := p.cfg.batchMax()
 	for {
-		w.dispatchHeld()
-		select {
-		case pd := <-w.ch:
-			// Wait for a free slot before collecting: the queue keeps
-			// filling meanwhile, so a busy window grows the next round's
-			// coalescing instead of splitting it across tiny flights.
-			w.waitSlot()
-			w.dispatch(w.collect(pd))
-			resetTimer(idle, w.pool.cfg.idleTimeout())
-		case <-w.wake:
-			// A flight completed; loop to re-examine held batches.
-		case <-w.pool.quit:
-			w.shutdownDrain()
+		if len(h.round) > 0 || h.sends < p.window(h) {
+			h.collect(max)
+		}
+		if len(h.round) == 0 {
 			return
-		case <-idle.C:
-			if w.pool.tryReap(w) {
-				return
+		}
+		if !flush && !p.done && len(h.round) < max && p.cfg.BatchWindow > 0 {
+			if h.timer == nil {
+				var t *time.Timer
+				t = time.AfterFunc(p.cfg.BatchWindow, func() {
+					p.mu.Lock()
+					if h.timer == t { // else the round it timed already flew
+						p.pump(h, true)
+					}
+					p.mu.Unlock()
+				})
+				h.timer = t
 			}
-			idle.Reset(w.pool.cfg.idleTimeout())
+			return
 		}
+		p.launch(h)
+		flush = false
 	}
 }
 
-// waitSlot blocks until the host's in-flight count is below the current
-// window. Only the writer goroutine ever waits here; completing flights
-// signal it.
-func (w *writer) waitSlot() {
-	w.mu.Lock()
-	for w.sends >= w.curWindow() {
-		w.slot.Wait()
-	}
-	w.mu.Unlock()
-}
-
-// curWindow returns the effective window. Callers hold w.mu.
-func (w *writer) curWindow() int {
-	if !w.pool.cfg.AdaptiveWindow {
-		return w.pool.cfg.maxInflight()
-	}
-	return w.window
-}
-
-// dispatch hands one collected round to a sender slot, holding back any
-// batch whose ordering key is already in flight (or queued behind one that
-// is). Same-key batches within the flying part stay in one flight, where
-// they are flushed serially in order.
-func (w *writer) dispatch(round []*pending) {
-	w.mu.Lock()
-	var fly []*pending
-	keys := map[string]int{}
-	for _, pd := range round {
-		k := pd.b.Key
-		if k != "" && keys[k] == 0 && (w.busy[k] > 0 || w.heldKy[k] > 0) {
-			w.held = append(w.held, pd)
-			w.heldKy[k]++
-			continue
+// collect moves batches from the queue into the open round, oldest first,
+// up to max per round. A batch whose ordering key is in flight stays
+// queued, and so does every later batch of that key: same-key batches
+// reach the wire in arrival order, one flight at a time.
+func (h *host) collect(max int) {
+	var skipped map[string]bool
+	kept := h.q[:0]
+	for i, pd := range h.q {
+		if len(h.round) >= max {
+			kept = append(kept, h.q[i:]...)
+			break
 		}
-		fly = append(fly, pd)
-		if k != "" {
-			keys[k]++
-		}
-	}
-	w.launchLocked(fly, keys)
-	w.mu.Unlock()
-}
-
-// dispatchHeld re-examines held batches after a flight completes and flies
-// every batch whose key conflict has cleared, as one flight, in order.
-func (w *writer) dispatchHeld() {
-	w.mu.Lock()
-	if len(w.held) == 0 {
-		w.mu.Unlock()
-		return
-	}
-	var fly []*pending
-	keys := map[string]int{}
-	kept := w.held[:0]
-	for _, pd := range w.held {
-		k := pd.b.Key
-		if w.busy[k] > 0 {
+		if k := pd.b.Key; k != "" && (h.busy[k] || skipped[k]) {
+			if skipped == nil {
+				skipped = map[string]bool{}
+			}
+			skipped[k] = true
 			kept = append(kept, pd)
 			continue
 		}
-		fly = append(fly, pd)
-		keys[k]++
-		w.heldKy[k]--
-		if w.heldKy[k] <= 0 {
-			delete(w.heldKy, k)
-		}
+		h.round = append(h.round, pd)
 	}
-	tail := w.held[len(kept):]
-	for i := range tail {
-		tail[i] = nil // release launched entries for GC
-	}
-	w.held = kept
-	w.launchLocked(fly, keys)
-	w.mu.Unlock()
-}
-
-// launchLocked claims a slot (waiting if the window is full) and starts a
-// flight for the given batches. Callers hold w.mu; keys maps each ordering
-// key in fly to its batch count.
-func (w *writer) launchLocked(fly []*pending, keys map[string]int) {
-	if len(fly) == 0 {
+	if len(kept) == len(h.q) {
 		return
 	}
-	for w.sends >= w.curWindow() {
-		w.slot.Wait()
+	for i := len(kept); i < len(h.q); i++ {
+		h.q[i] = nil // release collected batches for GC
 	}
-	w.sends++
-	if s := int64(w.sends); s > w.pool.peakInflight.Load() {
-		w.pool.peakInflight.Store(s)
-	}
-	for k, n := range keys {
-		w.busy[k] += n
-	}
-	w.pool.wg.Add(1)
-	go w.flight(fly, keys)
+	h.q = kept
+	h.wake()
 }
 
-// flight flushes one round on its own goroutine, then releases its slot,
-// its ordering keys, and wakes the writer to re-dispatch held batches.
-func (w *writer) flight(round []*pending, keys map[string]int) {
-	defer w.pool.wg.Done()
-	w.flushRound(round)
-	w.mu.Lock()
-	w.sends--
-	for k, n := range keys {
-		w.busy[k] -= n
-		if w.busy[k] <= 0 {
-			delete(w.busy, k)
+// launch starts a flight for the open round, claiming a window slot and the
+// round's ordering keys. Callers hold p.mu.
+func (p *Pool) launch(h *host) {
+	round := h.round
+	h.round = nil
+	if h.timer != nil {
+		h.timer.Stop()
+		h.timer = nil
+	}
+	h.sends++
+	if s := int64(h.sends); s > p.peakInflight.Load() {
+		p.peakInflight.Store(s)
+	}
+	for _, pd := range round {
+		if pd.b.Key != "" {
+			h.busy[pd.b.Key] = true
 		}
 	}
-	w.slot.Signal()
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
+	p.wg.Add(1)
+	go p.flight(h, round)
+}
+
+// flight flushes one round on its own goroutine, releases its slot and its
+// ordering keys, starts whatever that unblocked, and only then reports each
+// batch's result — so a caller that sees its Deliver return finds the host
+// already settled.
+func (p *Pool) flight(h *host, round []*pending) {
+	defer p.wg.Done()
+	p.flushRound(h, round)
+	p.mu.Lock()
+	h.sends--
+	for _, pd := range round {
+		delete(h.busy, pd.b.Key)
+	}
+	p.pump(h, false)
+	p.mu.Unlock()
+	for _, pd := range round {
+		pd.done <- pd.err
 	}
 }
 
 // recordSend feeds one wire-send outcome to the AIMD controller.
-func (w *writer) recordSend(err error) {
-	if !w.pool.cfg.AdaptiveWindow {
+func (p *Pool) recordSend(h *host, err error) {
+	if !p.cfg.AdaptiveWindow {
 		return
 	}
-	max := w.pool.cfg.maxInflight()
-	w.mu.Lock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err != nil {
-		w.streak = 0
-		if w.window > 1 {
-			w.window /= 2
-			w.pool.windowDown.Add(1)
+		h.streak = 0
+		if h.window > 1 {
+			h.window /= 2
+			p.windowDown.Add(1)
 		}
-	} else {
-		w.streak++
-		if w.window < max && w.streak >= w.window {
-			w.window++
-			w.streak = 0
-			w.slot.Signal()
-		}
+		return
 	}
-	w.mu.Unlock()
-}
-
-// shutdownDrain settles the writer on pool Close: wait for in-flight
-// flights, then flush everything left — held batches first (they arrived
-// earliest), then the queue — serially on the writer goroutine. An empty
-// queue is not enough to stop: a Deliver racing Close may have taken a
-// writer reference before quit closed and still be inside its enqueue
-// select, where the runtime may pick the `w.ch <- pd` arm even though quit
-// is closed. Returning on first-empty would strand that batch — dequeued
-// by nobody, its done channel never signalled, the conservation law
-// broken. Close sets pool.done under the mutex before closing quit, so no
-// new references appear after this point and inflight can only fall; drain
-// until the queue is empty AND every reference is released. Deliver
-// releases its reference only after its enqueue resolves, so inflight == 0
-// implies any enqueued batch is already visible in the channel.
-func (w *writer) shutdownDrain() {
-	w.mu.Lock()
-	for w.sends > 0 {
-		w.slot.Wait()
+	h.streak++
+	if h.window < p.cfg.maxInflight() && h.streak >= h.window {
+		h.window++
+		h.streak = 0
+		p.pump(h, false) // the new slot may have work waiting
 	}
-	held := w.held
-	w.held = nil
-	w.heldKy = map[string]int{}
-	w.mu.Unlock()
-	if len(held) > 0 {
-		w.flushRound(held)
-	}
-	for {
-		select {
-		case pd := <-w.ch:
-			w.flushRound(w.collect(pd))
-		default:
-			if w.inflight.Load() == 0 && len(w.ch) == 0 {
-				return
-			}
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
-}
-
-// collect gathers the flush round: the first batch plus whatever else is
-// already queued (and, under a configured BatchWindow, whatever arrives
-// before the window closes), bounded by BatchMax batches per round.
-func (w *writer) collect(first *pending) []*pending {
-	max := w.pool.cfg.batchMax()
-	round := []*pending{first}
-	for len(round) < max {
-		select {
-		case pd := <-w.ch:
-			round = append(round, pd)
-			continue
-		default:
-		}
-		break
-	}
-	if win := w.pool.cfg.BatchWindow; win > 0 && len(round) < max {
-		deadline := time.NewTimer(win)
-		defer deadline.Stop()
-	wait:
-		for len(round) < max {
-			select {
-			case pd := <-w.ch:
-				round = append(round, pd)
-			case <-deadline.C:
-				break wait
-			case <-w.pool.quit:
-				break wait
-			}
-		}
-	}
-	return round
 }
 
 // group is one coalesced envelope in the making: frame-equal entries bound
@@ -705,17 +557,14 @@ type group struct {
 	owners      []*pending            // per-entry contributing batch, for error fan-in
 }
 
-// bufPool recycles envelope scratch buffers across flights: with W
-// concurrent senders per host a single per-writer buffer is no longer safe.
+// bufPool recycles envelope scratch buffers across flights.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // flushRound sends one collected round: coalescible entries grouped by
 // (address, frame) into multi-NotificationMessage envelopes, everything
-// else sent as-is, each batch's combined result delivered on its channel.
-// Safe to call from flight goroutines and from the writer itself during
-// shutdown; every send outcome feeds the AIMD controller.
-func (w *writer) flushRound(round []*pending) {
-	p := w.pool
+// else sent as-is, each batch's combined result left in its pending. Every
+// send outcome feeds the AIMD controller.
+func (p *Pool) flushRound(h *host, round []*pending) {
 	max := p.cfg.batchMax()
 
 	var groups []*group
@@ -756,7 +605,6 @@ func (w *writer) flushRound(round []*pending) {
 
 	bp := bufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
-	ctx := context.Background()
 	for _, g := range groups {
 		// Withhold entries whose batch already failed earlier in this
 		// round: the whole batch will be retried, and putting its later
@@ -787,7 +635,7 @@ func (w *writer) flushRound(round []*pending) {
 			buf = frames[i].AppendEntry(buf, sid)
 		}
 		buf = g.frame.AppendFrameTail(buf)
-		err := w.send(ctx, g.addr, g.contentType, buf)
+		err := p.send(h, g.addr, g.contentType, buf)
 		p.envelopes.Add(1)
 		p.entries.Add(uint64(len(live)))
 		if p.cfg.OnBatchSize != nil {
@@ -808,7 +656,7 @@ func (w *writer) flushRound(round []*pending) {
 		if r.pd.err != nil {
 			continue // earlier send for this batch failed; retry covers it
 		}
-		err := w.send(ctx, r.pd.b.Addr, r.pd.b.ContentType, r.body)
+		err := p.send(h, r.pd.b.Addr, r.pd.b.ContentType, r.body)
 		p.rawSends.Add(1)
 		if p.cfg.OnBatchSize != nil {
 			p.cfg.OnBatchSize(1)
@@ -820,15 +668,12 @@ func (w *writer) flushRound(round []*pending) {
 			}
 		}
 	}
-	for _, pd := range round {
-		pd.done <- pd.err
-	}
 }
 
-func (w *writer) send(ctx context.Context, addr, contentType string, body []byte) error {
-	ctx, cancel := context.WithTimeout(ctx, w.pool.cfg.sendTimeout())
-	defer cancel()
-	err := w.pool.cfg.Send(ctx, addr, contentType, body)
-	w.recordSend(err)
+// send puts one envelope on the wire. Config.Send owns the deadline: no
+// caller's context outlives its Deliver, and a flight serves many.
+func (p *Pool) send(h *host, addr, contentType string, body []byte) error {
+	err := p.cfg.Send(context.Background(), addr, contentType, body)
+	p.recordSend(h, err)
 	return err
 }

@@ -307,34 +307,113 @@ func TestBackpressureBlocksThenContextFails(t *testing.T) {
 	}
 }
 
-// TestIdleReapAndRespawn: a writer reaps after IdleTimeout; the next
-// Deliver spawns a fresh one and succeeds.
-func TestIdleReapAndRespawn(t *testing.T) {
+// gatedWire is a Send stub for tests that must know a send is on the wire
+// without sleeping: every send announces its marker on entered, and a send
+// whose marker has a gate blocks until that gate is closed. The marker is
+// whichever gate name (or "mark-…" token) the body contains.
+type gatedWire struct {
+	entered chan string
+	gates   map[string]chan struct{}
+}
+
+func newGatedWire(gated ...string) *gatedWire {
+	g := &gatedWire{entered: make(chan string, 256), gates: map[string]chan struct{}{}}
+	for _, m := range gated {
+		g.gates[m] = make(chan struct{})
+	}
+	return g
+}
+
+func (g *gatedWire) send(ctx context.Context, addr, ct string, body []byte) error {
+	for m, gate := range g.gates {
+		if bytes.Contains(body, []byte(m)) {
+			g.entered <- m
+			<-gate
+			return nil
+		}
+	}
+	g.entered <- string(body)
+	return nil
+}
+
+// hostEntry reads the pool's map entry for a host name.
+func hostEntry(p *Pool, name string) *host {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.host[name]
+}
+
+// TestQuietHostHoldsNothing: a host owns no goroutine and no reference
+// count — by the time Deliver returns, its queue is empty and no flight is
+// out; the next Deliver just uses the idle entry again.
+func TestQuietHostHoldsNothing(t *testing.T) {
 	c := &capture{}
-	p := newTestPool(c, Config{IdleTimeout: 20 * time.Millisecond})
+	p := newTestPool(c, Config{})
 	defer p.Close()
 	tpl := testTemplate(t, "hello")
 	b := func() *Batch {
 		return &Batch{Addr: "http://dest-g:80/sink", Entries: []Entry{{Frame: tpl, SubID: "s"}}}
 	}
-	if err := p.Deliver(context.Background(), b()); err != nil {
-		t.Fatal(err)
-	}
-	if p.ActiveWriters() != 1 {
-		t.Fatalf("ActiveWriters = %d, want 1", p.ActiveWriters())
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.ActiveWriters() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("writer never reaped")
+	for i := 1; i <= 2; i++ {
+		if err := p.Deliver(context.Background(), b()); err != nil {
+			t.Fatalf("Deliver %d: %v", i, err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := p.Deliver(context.Background(), b()); err != nil {
-		t.Fatalf("Deliver after reap: %v", err)
+		if h := hostEntry(p, "dest-g:80"); h == nil || !h.quiet() {
+			t.Fatalf("after Deliver %d: host entry %+v, want a quiet one", i, h)
+		}
+		if q, f := p.QueueDepth(), p.Inflight(); q != 0 || f != 0 {
+			t.Fatalf("after Deliver %d: queued=%d inflight=%d, want 0 and 0", i, q, f)
+		}
 	}
 	if c.count() != 2 {
 		t.Fatalf("sends = %d, want 2", c.count())
+	}
+}
+
+// TestSweepDropsQuietHostsOnly: quiet hosts leave the map once it has grown
+// past the sweep threshold, and a host whose gated send is still in flight
+// is never among them — its flight settles against the same entry.
+func TestSweepDropsQuietHostsOnly(t *testing.T) {
+	w := newGatedWire("mark-slow")
+	p := NewPool(Config{Send: w.send, NextMessageID: nextMID, MaxInflightPerHost: 2})
+	defer p.Close()
+
+	slow := deliverAsync(p, &Batch{
+		Addr:    "http://dest-slow:80/sink",
+		Key:     "sub-1",
+		Entries: []Entry{{Frame: testTemplate(t, "mark-slow"), SubID: "sub-1"}},
+	})
+	if m := <-w.entered; m != "mark-slow" {
+		t.Fatalf("first send on the wire = %q, want the gated one", m)
+	}
+	busy := hostEntry(p, "dest-slow:80")
+	if busy == nil || busy.quiet() {
+		t.Fatalf("gated host: entry %+v, want one with a flight out", busy)
+	}
+
+	tpl := testTemplate(t, "quick")
+	for i := 0; i < 3*minSweep; i++ {
+		err := p.Deliver(context.Background(), &Batch{
+			Addr:    fmt.Sprintf("http://dest-q%d:80/sink", i),
+			Entries: []Entry{{Frame: tpl, SubID: "s"}},
+		})
+		if err != nil {
+			t.Fatalf("Deliver to host %d: %v", i, err)
+		}
+		if got := hostEntry(p, "dest-slow:80"); got != busy {
+			t.Fatalf("after %d quiet hosts the in-flight host's entry changed: %p, want %p", i+1, got, busy)
+		}
+	}
+	if got := p.ActiveWriters(); got > minSweep+2 {
+		t.Fatalf("pool holds %d hosts after %d quiet ones, want at most %d", got, 3*minSweep, minSweep+2)
+	}
+
+	close(w.gates["mark-slow"])
+	if err := <-slow; err != nil {
+		t.Fatal(err)
+	}
+	if !busy.quiet() || p.Inflight() != 0 {
+		t.Fatalf("after the flight landed: entry %+v, Inflight %d, want quiet and 0", busy, p.Inflight())
 	}
 }
 

@@ -136,35 +136,67 @@ func TestSameKeyNeverConcurrent(t *testing.T) {
 	}
 }
 
-// TestIdleReapWaitsForInflight pins the reap/pipeline race: a writer whose
-// idle timer fires while a flight is still on the wire must not reap — the
-// flight completes against the writer's window state. Before the sends
-// condition was added to tryReap, a gated send longer than IdleTimeout
-// tore the writer down under its own in-flight flight.
-func TestIdleReapWaitsForInflight(t *testing.T) {
-	c := &capture{gate: make(chan struct{})}
-	p := newTestPool(c, Config{MaxInflightPerHost: 2, IdleTimeout: 30 * time.Millisecond})
+// TestSameKeyQueueStaysFIFOWhileOtherKeyOvertakes: three batches of one key
+// and one batch of another are queued behind a gated flight of the first
+// key at window 2. The other key takes the free slot at once — overtaking
+// the three queued ahead of it — while those three stay queued until the
+// conflicting flight lands and then reach the wire in arrival order.
+func TestSameKeyQueueStaysFIFOWhileOtherKeyOvertakes(t *testing.T) {
+	w := newGatedWire("mark-head", "mark-other")
+	p := NewPool(Config{Send: w.send, NextMessageID: nextMID, MaxInflightPerHost: 2})
 	defer p.Close()
-	tpl := testTemplate(t, "slow")
-
-	done := deliverAsync(p, &Batch{
-		Addr:    "http://dest-r:80/sink",
-		Key:     "sub-1",
-		Entries: []Entry{{Frame: tpl, SubID: "sub-1"}},
-	})
-	waitFor(t, "flight in flight", func() bool { return p.Inflight() == 1 })
-
-	// Let the idle timer fire several times over while the send is gated.
-	time.Sleep(150 * time.Millisecond)
-	if got := p.ActiveWriters(); got != 1 {
-		t.Fatalf("ActiveWriters = %d, want 1 (reap must wait for the in-flight send)", got)
+	batch := func(key, mark string) *Batch {
+		return &Batch{
+			Addr:    "http://dest-o:80/sink",
+			Key:     key,
+			Entries: []Entry{{Body: []byte(mark)}},
+		}
 	}
 
-	c.gate <- struct{}{}
-	if err := <-done; err != nil {
+	head := deliverAsync(p, batch("sub-1", "mark-head"))
+	if m := <-w.entered; m != "mark-head" {
+		t.Fatalf("first send on the wire = %q, want mark-head", m)
+	}
+	var queued []chan error
+	for i, mark := range []string{"mark-q1", "mark-q2", "mark-q3"} {
+		queued = append(queued, deliverAsync(p, batch("sub-1", mark)))
+		want := i + 1
+		waitFor(t, fmt.Sprintf("%d same-key batches queued", want), func() bool { return p.QueueDepth() == want })
+	}
+	other := deliverAsync(p, batch("sub-2", "mark-other"))
+	if m := <-w.entered; m != "mark-other" {
+		t.Fatalf("second send on the wire = %q, want mark-other (the free slot is the other key's)", m)
+	}
+	if q, f := p.QueueDepth(), p.Inflight(); q != 3 || f != 2 {
+		t.Fatalf("queued=%d inflight=%d, want 3 and 2", q, f)
+	}
+
+	// Landing the other key frees a slot, but sub-1 is still in flight.
+	close(w.gates["mark-other"])
+	if err := <-other; err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "idle writer reaped", func() bool { return p.ActiveWriters() == 0 })
+	if q, f := p.QueueDepth(), p.Inflight(); q != 3 || f != 1 {
+		t.Fatalf("after the other key landed: queued=%d inflight=%d, want 3 and 1", q, f)
+	}
+
+	close(w.gates["mark-head"])
+	if err := <-head; err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range queued {
+		if err := <-ch; err != nil {
+			t.Fatalf("queued Deliver %d: %v", i+1, err)
+		}
+	}
+	for _, want := range []string{"mark-q1", "mark-q2", "mark-q3"} {
+		if m := <-w.entered; m != want {
+			t.Fatalf("same-key batch on the wire = %q, want %q (arrival order)", m, want)
+		}
+	}
+	if got := p.PeakInflight(); got != 2 {
+		t.Errorf("PeakInflight = %d, want 2", got)
+	}
 }
 
 // TestAIMDWindowShrinksAndRecovers is the chaos test: a flaky host failing

@@ -17,24 +17,11 @@ type Config struct {
 	// Shards is the registry stripe count (default: GOMAXPROCS rounded
 	// up to a power of two, minimum 4).
 	Shards int
-	// Workers, when > 0, pins the pool draining Queued subscribers at
-	// exactly that many goroutines — the pre-adaptive static pool, still
-	// useful for deterministic ablations. When 0 (the default) the pool
-	// scales dynamically between MinWorkers and MaxWorkers: a subscriber
-	// scheduled with every worker busy spawns a new one, and a worker
-	// parked idle past WorkerIdle retires. Workers start lazily with the
-	// first Queued subscriber.
-	Workers int
-	// MinWorkers floors the dynamic pool (default 2). Ignored when
-	// Workers > 0.
-	MinWorkers int
-	// MaxWorkers caps the dynamic pool (default 8×GOMAXPROCS, at least
-	// 32 — deliveries block on destination I/O, so the useful count is
-	// far above CPU parallelism). Ignored when Workers > 0.
+	// MaxWorkers caps the goroutines draining scheduled subscribers
+	// (default 8×GOMAXPROCS, at least 32 — deliveries block on destination
+	// I/O, so the useful count is far above CPU parallelism). Workers live
+	// only while the run queue holds work.
 	MaxWorkers int
-	// WorkerIdle retires a dynamic worker parked idle this long while
-	// the pool is above MinWorkers (default 1s).
-	WorkerIdle time.Duration
 	// QueueCap is the default Queued ring bound (default 256).
 	QueueCap int
 	// FailureLimit is the default consecutive-failure eviction threshold
@@ -80,24 +67,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers > 0 {
-		c.MinWorkers, c.MaxWorkers = c.Workers, c.Workers
-	} else {
-		if c.MinWorkers <= 0 {
-			c.MinWorkers = 2
+	if c.MaxWorkers <= 0 {
+		c.MaxWorkers = 8 * runtime.GOMAXPROCS(0)
+		if c.MaxWorkers < 32 {
+			c.MaxWorkers = 32
 		}
-		if c.MaxWorkers <= 0 {
-			c.MaxWorkers = 8 * runtime.GOMAXPROCS(0)
-			if c.MaxWorkers < 32 {
-				c.MaxWorkers = 32
-			}
-		}
-		if c.MaxWorkers < c.MinWorkers {
-			c.MaxWorkers = c.MinWorkers
-		}
-	}
-	if c.WorkerIdle <= 0 {
-		c.WorkerIdle = time.Second
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
@@ -170,10 +144,8 @@ type Engine struct {
 	wg sync.WaitGroup // queued deliveries not yet attempted
 
 	runMu   sync.Mutex
-	runQ    []*sub
-	waiters []chan *sub // parked workers, LIFO so hot workers stay hot
-	workers int         // live worker goroutines
-	started bool
+	runQ    []*sub // scheduled subscribers awaiting a worker
+	workers int    // live worker goroutines
 	closing bool
 }
 
@@ -277,10 +249,6 @@ func (e *Engine) Subscribe(o Sub) error {
 	}
 	if !e.reg.add(s) {
 		return ErrDuplicateSub
-	}
-	// Breaker-paused Sync backlogs flush through the worker pool too.
-	if o.Mode == Queued || s.brk != nil {
-		e.startWorkers()
 	}
 	return nil
 }
@@ -832,126 +800,50 @@ func (e *Engine) Candidates(topic topics.Path) []string {
 func (e *Engine) Close() {
 	e.runMu.Lock()
 	e.closing = true
-	ws := e.waiters
-	e.waiters = nil
 	e.runMu.Unlock()
-	// A closed hand-off channel reads as nil: the parked worker wakes,
-	// finishes whatever the run queue still holds, and exits.
-	for _, ch := range ws {
-		close(ch)
-	}
 }
 
 // WorkerCount reports the live dispatch worker goroutines — the
-// wsm_dispatch_workers gauge.
+// wsm_dispatch_workers gauge. It is 0 whenever nothing is scheduled.
 func (e *Engine) WorkerCount() int {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	return e.workers
 }
 
-func (e *Engine) startWorkers() {
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
-	if e.started || e.closing {
-		return
-	}
-	e.started = true
-	for i := 0; i < e.cfg.MinWorkers; i++ {
-		e.workers++
-		go e.worker()
-	}
-}
-
-// schedule hands a runnable subscriber to a parked worker if one exists;
-// otherwise it queues the subscriber and, if the pool is below MaxWorkers,
-// spawns a worker for it — the run queue being non-empty with every worker
-// busy is exactly the backlog signal the dynamic pool scales on.
+// schedule queues a runnable subscriber and, while the pool is below
+// MaxWorkers, starts a worker for it. This is the engine's one scheduling
+// rule, the same one the per-subscriber scheduled flag follows: whoever
+// makes work runnable starts the drainer, and the drainer exits when its
+// queue is empty.
 func (e *Engine) schedule(s *sub) {
 	e.runMu.Lock()
-	if n := len(e.waiters); n > 0 {
-		ch := e.waiters[n-1]
-		e.waiters = e.waiters[:n-1]
-		e.runMu.Unlock()
-		ch <- s
-		return
-	}
 	e.runQ = append(e.runQ, s)
-	if e.started && !e.closing && e.workers < e.cfg.MaxWorkers {
+	if e.workers < e.cfg.MaxWorkers && !e.closing {
 		e.workers++
 		go e.worker()
 	}
 	e.runMu.Unlock()
 }
 
-// worker drains scheduled subscribers. A subscriber is on the run queue at
-// most once (the scheduled flag), and only the worker holding it pops its
-// ring, so per-subscriber order is preserved without per-subscriber
-// goroutines. An idle worker parks on a hand-off channel; in dynamic mode
-// it retires after WorkerIdle without work, down to MinWorkers.
+// worker drains scheduled subscribers until the run queue is empty. A
+// subscriber is on the run queue at most once (the scheduled flag), and
+// only the worker holding it pops its ring, so per-subscriber order is
+// preserved without per-subscriber goroutines.
 func (e *Engine) worker() {
 	for {
 		e.runMu.Lock()
-		if len(e.runQ) > 0 {
-			s := e.runQ[0]
-			e.runQ = e.runQ[1:]
-			e.runMu.Unlock()
-			e.drain(s)
-			continue
-		}
-		if e.closing {
+		if len(e.runQ) == 0 {
 			e.workers--
 			e.runMu.Unlock()
 			return
 		}
-		ch := make(chan *sub, 1)
-		e.waiters = append(e.waiters, ch)
+		s := e.runQ[0]
+		e.runQ[0] = nil
+		e.runQ = e.runQ[1:]
 		e.runMu.Unlock()
-
-		var s *sub
-		if e.cfg.MinWorkers == e.cfg.MaxWorkers {
-			s = <-ch
-		} else {
-			idle := time.NewTimer(e.cfg.WorkerIdle)
-			select {
-			case s = <-ch:
-				idle.Stop()
-			case <-idle.C:
-				e.runMu.Lock()
-				if e.removeWaiter(ch) {
-					if e.workers > e.cfg.MinWorkers && !e.closing {
-						e.workers--
-						e.runMu.Unlock()
-						return
-					}
-					// At the floor: park again.
-					e.runMu.Unlock()
-					continue
-				}
-				e.runMu.Unlock()
-				// The channel already left the waiter list: a hand-off
-				// (or Close) chose this worker, so the send is imminent.
-				s = <-ch
-			}
-		}
-		if s == nil {
-			// Close woke us; loop to finish the run queue, then exit.
-			continue
-		}
 		e.drain(s)
 	}
-}
-
-// removeWaiter unregisters a parked worker's hand-off channel; false means
-// schedule or Close already claimed it. Callers hold runMu.
-func (e *Engine) removeWaiter(ch chan *sub) bool {
-	for i, c := range e.waiters {
-		if c == ch {
-			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 func (e *Engine) drain(s *sub) {

@@ -663,3 +663,68 @@ func TestQueuedBatchPopsBacklog(t *testing.T) {
 	}
 	checkStats(t, e, Stats{Published: 7, Matched: 7, Delivered: 7})
 }
+
+// TestWorkersBoundedAndDrainOnDemand: the worker pool is drain on demand —
+// no worker before the first scheduled subscriber, never more than
+// MaxWorkers however many subscribers are runnable, none once the run queue
+// is empty — and the bound costs nothing in order or accounting: every
+// subscriber gets its whole backlog, in order.
+func TestWorkersBoundedAndDrainOnDemand(t *testing.T) {
+	const subs, perSub, maxWorkers = 16, 5, 4
+	e := New(Config{MaxWorkers: maxWorkers})
+	defer e.Close()
+	if got := e.WorkerCount(); got != 0 {
+		t.Fatalf("WorkerCount = %d before any work, want 0", got)
+	}
+	entered := make(chan struct{}, subs*perSub)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	got := map[string][]int{}
+	for i := 0; i < subs; i++ {
+		id := fmt.Sprintf("s%d", i)
+		e.Subscribe(Sub{
+			ID:   id,
+			Mode: Queued,
+			Deliver: func(batch []Message) error {
+				entered <- struct{}{}
+				<-release
+				mu.Lock()
+				got[id] = append(got[id], batch[0].Payload.(int))
+				mu.Unlock()
+				return nil
+			},
+		})
+	}
+	for n := 0; n < perSub; n++ {
+		e.Dispatch(Message{Payload: n})
+		if w := e.WorkerCount(); w > maxWorkers {
+			t.Fatalf("WorkerCount = %d after publish %d, want at most %d", w, n, maxWorkers)
+		}
+	}
+	// Every worker is now parked inside a Deliver; the other twelve
+	// subscribers wait on the run queue.
+	for i := 0; i < maxWorkers; i++ {
+		<-entered
+	}
+	if w := e.WorkerCount(); w != maxWorkers {
+		t.Fatalf("WorkerCount = %d with %d runnable subscribers, want %d", w, subs, maxWorkers)
+	}
+	close(release)
+	e.Quiesce()
+	mu.Lock()
+	for i := 0; i < subs; i++ {
+		id := fmt.Sprintf("s%d", i)
+		if fmt.Sprint(got[id]) != "[0 1 2 3 4]" {
+			t.Errorf("%s got %v, want [0 1 2 3 4]", id, got[id])
+		}
+	}
+	mu.Unlock()
+	checkStats(t, e, Stats{Published: perSub, Matched: subs * perSub, Delivered: subs * perSub})
+	// Quiesce returns when the last delivery was attempted; its worker then
+	// finds the run queue empty and exits.
+	for deadline := time.Now().Add(5 * time.Second); e.WorkerCount() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("WorkerCount = %d on an idle engine, want 0", e.WorkerCount())
+		}
+	}
+}
