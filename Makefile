@@ -30,10 +30,12 @@ wsbench-check:
 	cd cmd/wsbench && go vet ./... && go test ./...
 
 # Non-test line counts of the three packages whose size ROADMAP aim 2
-# tracks as an outcome, each against its ceiling — the count the last PR
+# tracks as an outcome, plus the two spec packages that own the management
+# vocabulary core no longer carries (so lines moved out of core cannot
+# quietly regrow there), each against its ceiling — the count the last PR
 # that shrank it left behind. A package past its ceiling fails; a PR that
 # shrinks one lowers the number here.
-LOC_CEILINGS = core:3601 dispatch:2071 destwriter:679
+LOC_CEILINGS = core:3445 dispatch:2071 destwriter:679 wse:1351 wsnt:1829
 loc:
 	@fail=0; for pc in $(LOC_CEILINGS); do p=$${pc%%:*}; max=$${pc##*:}; \
 		n=$$(ls internal/$$p/*.go | grep -v _test | xargs cat | wc -l); \

@@ -451,7 +451,7 @@ func New(cfg Config) (*Broker, error) {
 	b.wsrfSvc = &wsrf.Service{
 		Provider:    brokerResources{b},
 		Clock:       b.cfg.Clock,
-		IDExtractor: b.subscriptionIDFromHeaders,
+		IDExtractor: b.subscriptionID,
 	}
 	cancel, err := b.cfg.Backend.Subscribe(b.fanOut)
 	if err != nil {
@@ -855,27 +855,20 @@ func (b *Broker) resumeSubscription(id string) error {
 	return err
 }
 
-// grantExpiry resolves a raw expiration per the origin dialect's rules:
-// WSN 1.0 rejects durations, everyone rejects garbage.
+// grantExpiry resolves a raw expiration per the origin dialect's rules
+// (WSN's where the subscriber spoke WSN, WSE's everywhere else) and grants
+// it under the broker's default and maximum.
 func (b *Broker) grantExpiry(raw string, origin mediation.Dialect) (time.Time, error) {
 	now := b.cfg.Clock()
-	if raw != "" && xsdt.LooksLikeDuration(raw) &&
-		origin.Family == mediation.FamilyWSN && !origin.WSN.SupportsDurationExpiry() {
-		return time.Time{}, fmt.Errorf("duration expirations require WS-Notification 1.3")
+	resolve := wse.ResolveExpires
+	if origin.Family == mediation.FamilyWSN {
+		resolve = origin.WSN.ResolveTerminationTime
 	}
-	t, err := wse.ResolveExpires(raw, now)
+	t, err := resolve(raw, now)
 	if err != nil {
 		return time.Time{}, err
 	}
-	if t.IsZero() && b.cfg.DefaultExpiry > 0 {
-		t = now.Add(b.cfg.DefaultExpiry)
-	}
-	if !t.IsZero() && b.cfg.MaxExpiry > 0 {
-		if limit := now.Add(b.cfg.MaxExpiry); t.After(limit) {
-			t = limit
-		}
-	}
-	return t, nil
+	return sublease.Grant(t, now, b.cfg.DefaultExpiry, b.cfg.MaxExpiry), nil
 }
 
 // onLeaseEnd mediates the end-of-subscription notice into the

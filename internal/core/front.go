@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/filter"
 	"repro/internal/mediation"
@@ -47,7 +47,7 @@ func (b *Broker) FrontHandler() transport.Handler {
 			case "Renew", "GetStatus", "Unsubscribe", "Pull",
 				"PauseSubscription", "ResumeSubscription":
 				if b.cfg.ManagerAddress == b.cfg.Address {
-					return b.handleManagement(ctx, env, d)
+					return b.handleManagement(env, d)
 				}
 				return nil, soap.Faultf(soap.FaultSender,
 					"ws-messenger: %s must be sent to the subscription manager at %s",
@@ -82,7 +82,7 @@ func (b *Broker) ManagerHandler() transport.Handler {
 		if !ok {
 			return nil, soap.Faultf(soap.FaultSender, "ws-messenger: unknown management request %v", body.Name)
 		}
-		return b.handleManagement(ctx, env, d)
+		return b.handleManagement(env, d)
 	})
 }
 
@@ -139,22 +139,8 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 		if err != nil {
 			return nil, wse.FaultInvalidMessage(d.WSE, err.Error())
 		}
-		if req.NotifyTo == nil {
-			return nil, wse.FaultInvalidMessage(v, "Subscribe has no NotifyTo")
-		}
-		mode := req.Mode
-		switch mode {
-		case "", v.DeliveryModePush():
-		case v.DeliveryModePull():
-			if !v.SupportsPull() {
-				return nil, wse.FaultDeliveryModeUnavailable(v, mode)
-			}
-		case v.DeliveryModeWrap():
-			if !v.SupportsWrapped() {
-				return nil, wse.FaultDeliveryModeUnavailable(v, mode)
-			}
-		default:
-			return nil, wse.FaultDeliveryModeUnavailable(v, mode)
+		if err := req.Validate(v); err != nil {
+			return nil, err
 		}
 		canon = mediation.FromWSE(req, v)
 	case mediation.FamilyWSN:
@@ -162,11 +148,8 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 		if err != nil {
 			return nil, wsnt.FaultSubscribeCreationFailed(d.WSN, err.Error())
 		}
-		if req.ConsumerReference == nil {
-			return nil, wsnt.FaultSubscribeCreationFailed(v, "missing ConsumerReference")
-		}
-		if v.RequiresTopic() && req.TopicExpression == "" {
-			return nil, wsnt.FaultSubscribeCreationFailed(v, "version 1.0 requires a TopicExpression")
+		if err := req.Validate(v); err != nil {
+			return nil, err
 		}
 		canon = mediation.FromWSN(req, v)
 	default:
@@ -198,32 +181,23 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 	// Only restoring a snapshot identity can fail; a fresh lease cannot.
 	id, _ := b.newSubscription(&subState{canon: canon, flt: flt}, sublease.Snapshot{Expires: expires})
 
-	out := soap.New(env.Version)
-	switch d.Family {
-	case mediation.FamilyWSE:
-		v := d.WSE
-		b.applyReply(out, env, v.WSAVersion(), v.ActionSubscribeResponse())
-		resp := &wse.SubscribeResponse{
-			Manager: wsa.NewEPR(v.WSAVersion(), b.cfg.ManagerAddress),
-			ID:      id,
-		}
-		if !expires.IsZero() {
-			resp.Expires = xsdt.FormatDateTime(expires)
-		}
-		out.AddBody(resp.Element(v))
-	case mediation.FamilyWSN:
-		v := d.WSN
-		b.applyReply(out, env, v.WSAVersion(), v.ActionSubscribeResponse())
-		resp := &wsnt.SubscribeResponse{
-			SubscriptionReference: wsa.NewEPR(v.WSAVersion(), b.cfg.ManagerAddress),
-			ID:                    id,
-			CurrentTime:           xsdt.FormatDateTime(b.cfg.Clock()),
-		}
-		if !expires.IsZero() {
-			resp.TerminationTime = xsdt.FormatDateTime(expires)
-		}
-		out.AddBody(resp.Element(v))
+	expText := ""
+	if !expires.IsZero() {
+		expText = xsdt.FormatDateTime(expires)
 	}
+	var resp *xmldom.Element
+	var wv wsa.Version
+	if d.Family == mediation.FamilyWSE {
+		wv = d.WSE.WSAVersion()
+		resp = (&wse.SubscribeResponse{Manager: wsa.NewEPR(wv, b.cfg.ManagerAddress), ID: id, Expires: expText}).Element(d.WSE)
+	} else {
+		wv = d.WSN.WSAVersion()
+		resp = (&wsnt.SubscribeResponse{SubscriptionReference: wsa.NewEPR(wv, b.cfg.ManagerAddress), ID: id,
+			CurrentTime: xsdt.FormatDateTime(b.cfg.Clock()), TerminationTime: expText}).Element(d.WSN)
+	}
+	out := soap.New(env.Version)
+	b.applyReply(out, env, wv, resp.Name.Space+"/"+resp.Name.Local)
+	out.AddBody(resp)
 	return out, nil
 }
 
@@ -238,43 +212,17 @@ func (b *Broker) applyReply(out, in *soap.Envelope, wv wsa.Version, action strin
 func (b *Broker) handleGetCurrentMessage(env *soap.Envelope, d mediation.Dialect) (*soap.Envelope, error) {
 	done := b.opDone("GetCurrentMessage")
 	defer func() { done(d.String()) }()
-	v := d.WSN
 	if d.Family != mediation.FamilyWSN {
 		return nil, soap.Faultf(soap.FaultSender, "ws-messenger: GetCurrentMessage is a WS-Notification operation")
 	}
-	ns := v.NS()
-	te := env.FirstBody().Child(xmldom.N(ns, "Topic"))
-	if te == nil {
-		return nil, wsnt.FaultInvalidFilter(v, "GetCurrentMessage requires a Topic")
-	}
-	dialect := te.AttrValue(xmldom.N("", "Dialect"))
-	if dialect == "" {
-		dialect = topics.DialectConcrete
-	}
-	expr, err := topics.ParseExpression(dialect, strings.TrimSpace(te.Text()), te.ScopeBindings())
-	if err != nil {
-		return nil, wsnt.FaultInvalidFilter(v, err.Error())
-	}
-	cp, ok := expr.ConcretePath()
-	if !ok {
-		return nil, wsnt.FaultInvalidFilter(v, "GetCurrentMessage requires a concrete topic")
-	}
-	b.mu.Lock()
-	msg := b.current[cp.String()]
-	b.mu.Unlock()
-	if msg == nil {
-		return nil, wsnt.FaultNoCurrentMessage(v, cp.String())
-	}
-	out := soap.New(env.Version)
-	b.applyReply(out, env, v.WSAVersion(), v.NS()+"/GetCurrentMessageResponse")
-	out.AddBody(xmldom.Elem(ns, "GetCurrentMessageResponse", msg.Clone()))
-	return out, nil
+	return wsnt.HandleGetCurrentMessage(d.WSN, brokerState{b}, env, b.nextMessageID)
 }
 
-// subscriptionIDFromHeaders recovers the subscription id from whichever
-// reference parameter the requester's spec uses: wse:Identifier (8/2004),
-// wsnt SubscriptionId (both WSN versions) or wsrl:ResourceID.
-func (b *Broker) subscriptionIDFromHeaders(env *soap.Envelope) string {
+// subscriptionID recovers the subscription id from whichever reference
+// parameter the requester's spec uses — wse:Identifier (8/2004), wsnt
+// SubscriptionId (both WSN versions) or wsrl:ResourceID — or else from the
+// wse:Id body element of 1/2004.
+func (b *Broker) subscriptionID(env *soap.Envelope) string {
 	for _, name := range []xmldom.Name{
 		wse.V200408.IdentifierName(),
 		wsnt.V1_0.SubscriptionIDName(),
@@ -285,156 +233,59 @@ func (b *Broker) subscriptionIDFromHeaders(env *soap.Envelope) string {
 			return strings.TrimSpace(h.Text())
 		}
 	}
-	return ""
-}
-
-// subscriptionID also checks the 1/2004 body form.
-func (b *Broker) subscriptionID(env *soap.Envelope, d mediation.Dialect) string {
-	if id := b.subscriptionIDFromHeaders(env); id != "" {
-		return id
-	}
-	if d.Family == mediation.FamilyWSE && d.WSE == wse.V200401 {
-		if body := env.FirstBody(); body != nil {
-			if el := body.Child(wse.V200401.IdentifierName()); el != nil {
-				return strings.TrimSpace(el.Text())
-			}
+	if body := env.FirstBody(); body != nil {
+		if el := body.Child(wse.V200401.IdentifierName()); el != nil {
+			return strings.TrimSpace(el.Text())
 		}
 	}
 	return ""
 }
 
-func (b *Broker) handleManagement(_ context.Context, env *soap.Envelope, d mediation.Dialect) (*soap.Envelope, error) {
-	body := env.FirstBody()
-	done := b.opDone(body.Name.Local)
+// handleManagement hands a management request to its family's handler,
+// which speaks the requester's version over the broker's state.
+func (b *Broker) handleManagement(env *soap.Envelope, d mediation.Dialect) (*soap.Envelope, error) {
+	done := b.opDone(env.FirstBody().Name.Local)
 	defer func() { done(d.String()) }()
-	id := b.subscriptionID(env, d)
-	out := soap.New(env.Version)
-
+	id := b.subscriptionID(env)
 	switch d.Family {
 	case mediation.FamilyWSE:
-		v := d.WSE
-		ns := v.NS()
-		switch body.Name.Local {
-		case "Renew":
-			expires, err := b.grantExpiry(body.ChildText(xmldom.N(ns, "Expires")), d)
-			if err != nil {
-				return nil, wse.FaultUnsupportedExpirationType(v)
-			}
-			granted, err := b.renewSubscription(id, expires)
-			if err != nil {
-				return nil, wse.FaultInvalidMessage(v, "unknown subscription "+id)
-			}
-			b.applyReply(out, env, v.WSAVersion(), v.ActionRenewResponse())
-			expText := ""
-			if !granted.IsZero() {
-				expText = xsdt.FormatDateTime(granted)
-			}
-			out.AddBody(xmldom.Elem(ns, "RenewResponse", xmldom.Elem(ns, "Expires", expText)))
-			return out, nil
-		case "GetStatus":
-			if !v.SupportsGetStatus() {
-				return nil, wse.FaultInvalidMessage(v, "GetStatus is not defined in "+v.String())
-			}
-			sn, err := b.store.Get(id)
-			if err != nil {
-				return nil, wse.FaultInvalidMessage(v, "unknown subscription "+id)
-			}
-			b.applyReply(out, env, v.WSAVersion(), v.ActionGetStatusResponse())
-			expText := ""
-			if !sn.Expires.IsZero() {
-				expText = xsdt.FormatDateTime(sn.Expires)
-			}
-			out.AddBody(xmldom.Elem(ns, "GetStatusResponse", xmldom.Elem(ns, "Expires", expText)))
-			return out, nil
-		case "Unsubscribe":
-			if err := b.cancelSubscription(id); err != nil {
-				return nil, wse.FaultInvalidMessage(v, "unknown subscription "+id)
-			}
-			b.applyReply(out, env, v.WSAVersion(), v.ActionUnsubscribeResponse())
-			out.AddBody(xmldom.NewElement(xmldom.N(ns, "UnsubscribeResponse")))
-			return out, nil
-		case "Pull":
-			if !v.SupportsPull() {
-				return nil, wse.FaultInvalidMessage(v, "Pull is not defined in "+v.String())
-			}
-			if _, err := b.store.Get(id); err != nil {
-				return nil, wse.FaultInvalidMessage(v, "unknown subscription "+id)
-			}
-			max := 0 // absent: everything buffered
-			if m := body.ChildText(xmldom.N(ns, "MaxElements")); m != "" {
-				var err error
-				if max, err = strconv.Atoi(strings.TrimSpace(m)); err != nil || max < 0 {
-					return nil, wse.FaultInvalidMessage(v, "MaxElements must be a non-negative integer, got "+strconv.Quote(m))
-				}
-			}
-			batch, err := b.engine.Pull(id, max)
-			if err != nil {
-				return nil, wse.FaultInvalidMessage(v, "unknown subscription "+id)
-			}
-			b.applyReply(out, env, v.WSAVersion(), v.ActionPullResponse())
-			resp := xmldom.NewElement(xmldom.N(ns, "PullResponse"))
-			for _, m := range batch {
-				resp.Append(xmldom.Elem(ns, "Message", m.Payload.(fanMsg).payload))
-			}
-			out.AddBody(resp)
-			return out, nil
-		}
-		return nil, wse.FaultInvalidMessage(v, "unknown operation "+body.Name.Local)
-
+		return wse.HandleManagement(d.WSE, brokerState{b}, env, id, b.nextMessageID)
 	case mediation.FamilyWSN:
-		v := d.WSN
-		ns := v.NS()
-		switch body.Name.Local {
-		case "PauseSubscription", "ResumeSubscription":
-			op, failed := b.pauseSubscription, wsnt.FaultPauseFailed
-			if body.Name.Local == "ResumeSubscription" {
-				op, failed = b.resumeSubscription, wsnt.FaultResumeFailed
-			}
-			if err := op(id); err != nil {
-				// Unknown id → ResourceUnknownFault; an operation that fails
-				// for a known subscription (e.g. an expired lease) is 1.3's
-				// distinct PauseFailedFault / ResumeFailedFault.
-				if v == wsnt.V1_3 && !errors.Is(err, sublease.ErrNotFound) {
-					return nil, failed(v, err.Error())
-				}
-				return nil, wsnt.FaultUnknownSubscription(v, id)
-			}
-			resp := body.Name.Local + "Response"
-			b.applyReply(out, env, v.WSAVersion(), ns+"/"+resp)
-			out.AddBody(xmldom.NewElement(xmldom.N(ns, resp)))
-			return out, nil
-		case "Renew":
-			if !v.SupportsNativeManagement() {
-				return nil, wsnt.FaultUnsupportedOperation(v, "Renew")
-			}
-			expires, err := b.grantExpiry(body.ChildText(xmldom.N(ns, "TerminationTime")), d)
-			if err != nil {
-				return nil, wsnt.FaultUnacceptableTerminationTime(v, err.Error())
-			}
-			granted, err := b.renewSubscription(id, expires)
-			if err != nil {
-				return nil, wsnt.FaultUnknownSubscription(v, id)
-			}
-			b.applyReply(out, env, v.WSAVersion(), ns+"/RenewResponse")
-			resp := xmldom.NewElement(xmldom.N(ns, "RenewResponse"))
-			if !granted.IsZero() {
-				resp.Append(xmldom.Elem(ns, "TerminationTime", xsdt.FormatDateTime(granted)))
-			}
-			resp.Append(xmldom.Elem(ns, "CurrentTime", xsdt.FormatDateTime(b.cfg.Clock())))
-			out.AddBody(resp)
-			return out, nil
-		case "Unsubscribe":
-			if !v.SupportsNativeManagement() {
-				return nil, wsnt.FaultUnsupportedOperation(v, "Unsubscribe")
-			}
-			if err := b.cancelSubscription(id); err != nil {
-				return nil, wsnt.FaultUnknownSubscription(v, id)
-			}
-			b.applyReply(out, env, v.WSAVersion(), ns+"/UnsubscribeResponse")
-			out.AddBody(xmldom.NewElement(xmldom.N(ns, "UnsubscribeResponse")))
-			return out, nil
-		}
-		return nil, wsnt.FaultUnsupportedOperation(v, body.Name.Local)
+		return wsnt.HandleManagement(d.WSN, brokerState{b}, env, id, b.nextMessageID)
 	}
 	return nil, soap.Faultf(soap.FaultSender, "ws-messenger: unknown management dialect")
+}
+
+// brokerState is the broker's subscription state — lease store, dispatch
+// engine, current messages — as the spec packages' handlers see it.
+type brokerState struct{ *Broker }
+
+func (b brokerState) Now() time.Time { return b.cfg.Clock() }
+
+func (b brokerState) Renew(id string, requested time.Time) (time.Time, error) {
+	return b.renewSubscription(id, sublease.Grant(requested, b.cfg.Clock(), b.cfg.DefaultExpiry, b.cfg.MaxExpiry))
+}
+
+func (b brokerState) Expires(id string) (time.Time, error) {
+	sn, err := b.store.Get(id)
+	return sn.Expires, err
+}
+
+func (b brokerState) Unsubscribe(id string) error { return b.cancelSubscription(id) }
+func (b brokerState) Pause(id string) error       { return b.pauseSubscription(id) }
+func (b brokerState) Resume(id string) error      { return b.resumeSubscription(id) }
+
+func (b brokerState) Pull(id string, max int) ([]*xmldom.Element, error) {
+	batch, err := b.engine.Pull(id, max)
+	msgs := make([]*xmldom.Element, len(batch))
+	for i, m := range batch {
+		msgs[i] = m.Payload.(fanMsg).payload
+	}
+	return msgs, err
+}
+
+func (b brokerState) CurrentMessage(topic topics.Path) *xmldom.Element {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.current[topic.String()]
 }

@@ -1,0 +1,315 @@
+package core
+
+// Management parity: the broker answers every spec version's management
+// vocabulary (Table 2) at one front door, and the standalone wse.Source /
+// wsnt.Producer answer the same vocabulary for their own version. Both must
+// give the same answer to the same request — the same fault subcode, or
+// the same reply element with the same children — so a subscriber cannot
+// tell which kind of endpoint it is managing a subscription at.
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/soap"
+	"repro/internal/topics"
+	"repro/internal/transport"
+	"repro/internal/wsa"
+	"repro/internal/wse"
+	"repro/internal/wsnt"
+	"repro/internal/xmldom"
+	"repro/internal/xsdt"
+)
+
+// parityDoor is one endpoint under comparison: where its producer-side and
+// manager-side handlers listen, and how to give it a fresh subscription
+// and a current message on grid.
+type parityDoor struct {
+	lb        *transport.Loopback
+	front     string
+	manager   string
+	subscribe func(t *testing.T) string
+	publish   func()
+}
+
+func (d parityDoor) call(env *soap.Envelope, front bool) string {
+	addr := d.manager
+	if front {
+		addr = d.front
+	}
+	resp, err := d.lb.Call(context.Background(), addr, env)
+	if err != nil {
+		f, ok := soap.ErrFault(err)
+		if !ok {
+			return "error " + err.Error()
+		}
+		return fmt.Sprintf("fault %v %v", f.Code, f.Subcode)
+	}
+	body := resp.FirstBody()
+	if body == nil {
+		return "empty reply"
+	}
+	var kids []string
+	for _, c := range body.ChildElements() {
+		kids = append(kids, c.Name.String())
+	}
+	return fmt.Sprintf("reply %v(%s)", body.Name, strings.Join(kids, " "))
+}
+
+func parityClock() func() time.Time {
+	now := time.Date(2006, 2, 1, 0, 0, 0, 0, time.UTC)
+	return func() time.Time { return now }
+}
+
+// parityBroker starts a broker on its own loopback with the sinks both
+// families deliver to.
+func parityBroker(t *testing.T, clock func() time.Time) (*Broker, *transport.Loopback) {
+	t.Helper()
+	lb := transport.NewLoopback()
+	b, err := New(Config{Address: "svc://wsm", ManagerAddress: "svc://wsm-subs",
+		Client: lb, Clock: clock, SyncDelivery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Register("svc://wsm", b.FrontHandler())
+	lb.Register("svc://wsm-subs", b.ManagerHandler())
+	lb.Register("svc://sink", &wse.Sink{})
+	lb.Register("svc://consumer", &wsnt.Consumer{})
+	return b, lb
+}
+
+func wseParityDoors(t *testing.T, v wse.Version) (broker, standalone parityDoor) {
+	clock := parityClock()
+	req := func() *wse.SubscribeRequest {
+		r := &wse.SubscribeRequest{NotifyTo: wsa.NewEPR(v.WSAVersion(), "svc://sink"), Expires: "PT1H"}
+		if v.SupportsPull() {
+			r.Mode = v.DeliveryModePull()
+		}
+		return r
+	}
+	subscriber := func(lb *transport.Loopback, addr string) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			t.Helper()
+			h, err := (&wse.Subscriber{Client: lb, Version: v}).Subscribe(context.Background(), addr, req())
+			if err != nil {
+				t.Fatalf("subscribe at %s: %v", addr, err)
+			}
+			return h.ID
+		}
+	}
+
+	b, blb := parityBroker(t, clock)
+	broker = parityDoor{lb: blb, front: "svc://wsm", manager: "svc://wsm-subs",
+		subscribe: subscriber(blb, "svc://wsm"),
+		publish:   func() { _ = b.Publish(grid, event("p")) }}
+
+	slb := transport.NewLoopback()
+	src := wse.NewSource(wse.SourceConfig{Version: v, Address: "svc://src",
+		ManagerAddress: "svc://src-mgr", Client: slb, Clock: clock})
+	slb.Register(src.ManagerAddress(), src.ManagerHandler())
+	slb.Register("svc://src", src.SourceHandler()) // 1/2004: the source is its own manager
+	slb.Register("svc://sink", &wse.Sink{})
+	standalone = parityDoor{lb: slb, front: "svc://src", manager: src.ManagerAddress(),
+		subscribe: subscriber(slb, "svc://src"),
+		publish: func() {
+			_, _ = src.Publish(context.Background(), event("p"), wse.PublishOptions{Topic: grid})
+		}}
+	return broker, standalone
+}
+
+func wsnParityDoors(t *testing.T, v wsnt.Version) (broker, standalone parityDoor) {
+	clock := parityClock()
+	req := func() *wsnt.SubscribeRequest {
+		r := &wsnt.SubscribeRequest{
+			ConsumerReference: wsa.NewEPR(v.WSAVersion(), "svc://consumer"),
+			TopicExpression:   "t:jobs",
+			TopicDialect:      topics.DialectConcrete,
+			TopicNS:           map[string]string{"t": "urn:grid"},
+		}
+		r.InitialTerminationTime = "PT1H"
+		if !v.SupportsDurationExpiry() {
+			r.InitialTerminationTime = xsdt.FormatDateTime(clock().Add(time.Hour))
+		}
+		return r
+	}
+	subscriber := func(lb *transport.Loopback, addr string) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			t.Helper()
+			h, err := (&wsnt.Subscriber{Client: lb, Version: v}).Subscribe(context.Background(), addr, req())
+			if err != nil {
+				t.Fatalf("subscribe at %s: %v", addr, err)
+			}
+			return h.ID
+		}
+	}
+
+	b, blb := parityBroker(t, clock)
+	broker = parityDoor{lb: blb, front: "svc://wsm", manager: "svc://wsm-subs",
+		subscribe: subscriber(blb, "svc://wsm"),
+		publish:   func() { _ = b.Publish(grid, event("p")) }}
+
+	plb := transport.NewLoopback()
+	p := wsnt.NewProducer(wsnt.ProducerConfig{Version: v, Address: "svc://prod",
+		ManagerAddress: "svc://prod-mgr", Client: plb, Clock: clock})
+	plb.Register("svc://prod", p.ProducerHandler())
+	plb.Register("svc://prod-mgr", p.ManagerHandler())
+	plb.Register("svc://consumer", &wsnt.Consumer{})
+	standalone = parityDoor{lb: plb, front: "svc://prod", manager: "svc://prod-mgr",
+		subscribe: subscriber(plb, "svc://prod"),
+		publish:   func() { _, _ = p.Publish(context.Background(), grid, event("p")) }}
+	return broker, standalone
+}
+
+// parityCase is one request phrased for one version: which subscription it
+// names (a fresh known one, an unknown one, or none) and its body.
+type parityCase struct {
+	name  string
+	id    string // "known" → a fresh subscription; "" → no id at all
+	front bool   // GetCurrentMessage goes to the producer endpoint
+	body  func(ns string) *xmldom.Element
+}
+
+const parityKnown = "known"
+
+// parityCases expands one operation into its cells: known id, unknown id
+// and each malformed argument when the version defines the operation, and
+// a single "lacks" cell when it does not.
+func parityCases(supported bool, malformed map[string]func(ns string) *xmldom.Element, valid func(ns string) *xmldom.Element) []parityCase {
+	if !supported {
+		return []parityCase{{name: "lacks", id: parityKnown, body: valid}}
+	}
+	cs := []parityCase{
+		{name: "known", id: parityKnown, body: valid},
+		{name: "unknown", id: "no-such-subscription", body: valid},
+	}
+	if malformed == nil {
+		malformed = map[string]func(string) *xmldom.Element{"no-id": valid}
+	}
+	for name, body := range malformed {
+		id := parityKnown
+		if name == "no-id" {
+			id = ""
+		}
+		cs = append(cs, parityCase{name: "malformed-" + name, id: id, body: body})
+	}
+	return cs
+}
+
+func bare(op string) func(ns string) *xmldom.Element {
+	return func(ns string) *xmldom.Element { return xmldom.NewElement(xmldom.N(ns, op)) }
+}
+
+func withChild(op, child, text string) func(ns string) *xmldom.Element {
+	return func(ns string) *xmldom.Element { return xmldom.Elem(ns, op, xmldom.Elem(ns, child, text)) }
+}
+
+func getCurrentMessage(dialect, expr string) func(ns string) *xmldom.Element {
+	return func(ns string) *xmldom.Element {
+		te := xmldom.Elem(ns, "Topic", expr)
+		te.SetAttr(xmldom.N("", "Dialect"), dialect)
+		te.DeclarePrefix("t", "urn:grid")
+		return xmldom.Elem(ns, "GetCurrentMessage", te)
+	}
+}
+
+// TestManagementParity compares broker and standalone endpoint cell by cell
+// over all four wire versions.
+func TestManagementParity(t *testing.T) {
+	type family struct {
+		name  string
+		doors func(t *testing.T) (parityDoor, parityDoor)
+		ns    string
+		cases map[string][]parityCase
+		// stamp puts the subscription id where the version carries it.
+		stamp func(env *soap.Envelope, body *xmldom.Element, id string)
+	}
+	var fams []family
+	for _, v := range []wse.Version{wse.V200401, wse.V200408} {
+		fams = append(fams, family{
+			name:  v.String(),
+			doors: func(t *testing.T) (parityDoor, parityDoor) { return wseParityDoors(t, v) },
+			ns:    v.NS(),
+			cases: map[string][]parityCase{
+				"Renew": parityCases(true, map[string]func(string) *xmldom.Element{
+					"expires": withChild("Renew", "Expires", "quarter-past-never"),
+				}, withChild("Renew", "Expires", "PT2H")),
+				"GetStatus":   parityCases(v.SupportsGetStatus(), nil, bare("GetStatus")),
+				"Unsubscribe": parityCases(true, nil, bare("Unsubscribe")),
+				"Pull": parityCases(v.SupportsPull(), map[string]func(string) *xmldom.Element{
+					"max-nan":      withChild("Pull", "MaxElements", "abc"),
+					"max-negative": withChild("Pull", "MaxElements", "-1"),
+				}, withChild("Pull", "MaxElements", "1")),
+			},
+			stamp: func(env *soap.Envelope, body *xmldom.Element, id string) {
+				if v == wse.V200401 {
+					body.Append(xmldom.Elem(v.NS(), "Id", id))
+				} else {
+					env.AddHeader(xmldom.Elem(v.NS(), "Identifier", id))
+				}
+			},
+		})
+	}
+	for _, v := range []wsnt.Version{wsnt.V1_0, wsnt.V1_3} {
+		renewTo := "PT2H"
+		if !v.SupportsDurationExpiry() {
+			renewTo = "2006-02-01T02:00:00Z"
+		}
+		fams = append(fams, family{
+			name:  v.String(),
+			doors: func(t *testing.T) (parityDoor, parityDoor) { return wsnParityDoors(t, v) },
+			ns:    v.NS(),
+			cases: map[string][]parityCase{
+				"PauseSubscription":  parityCases(true, nil, bare("PauseSubscription")),
+				"ResumeSubscription": parityCases(true, nil, bare("ResumeSubscription")),
+				"Renew": parityCases(v.SupportsNativeManagement(), map[string]func(string) *xmldom.Element{
+					"termination": withChild("Renew", "TerminationTime", "quarter-past-never"),
+				}, withChild("Renew", "TerminationTime", renewTo)),
+				"Unsubscribe": parityCases(v.SupportsNativeManagement(), nil, bare("Unsubscribe")),
+				"GetCurrentMessage": {
+					{name: "known", front: true, body: getCurrentMessage(topics.DialectConcrete, "t:jobs")},
+					{name: "unknown", front: true, body: getCurrentMessage(topics.DialectConcrete, "t:idle")},
+					{name: "malformed-no-topic", front: true, body: bare("GetCurrentMessage")},
+					{name: "malformed-dialect", front: true, body: getCurrentMessage("urn:bogus", "t:jobs")},
+					{name: "malformed-not-concrete", front: true, body: getCurrentMessage(topics.DialectFull, "t:*")},
+				},
+			},
+			stamp: func(env *soap.Envelope, _ *xmldom.Element, id string) {
+				env.AddHeader(xmldom.Elem(v.NS(), "SubscriptionId", id))
+			},
+		})
+	}
+
+	for _, fam := range fams {
+		broker, standalone := fam.doors(t)
+		broker.publish()
+		standalone.publish()
+		for op, cases := range fam.cases {
+			for _, c := range cases {
+				t.Run(fam.name+"/"+op+"/"+c.name, func(t *testing.T) {
+					ask := func(d parityDoor) string {
+						body := c.body(fam.ns)
+						env := soap.New(soap.V11)
+						(&wsa.MessageHeaders{Version: wsa.V200508, Action: fam.ns + "/" + op,
+							MessageID: "urn:test:parity"}).Apply(env)
+						switch c.id {
+						case "":
+						case parityKnown:
+							fam.stamp(env, body, d.subscribe(t))
+							d.publish() // something to Pull
+						default:
+							fam.stamp(env, body, c.id)
+						}
+						env.AddBody(body)
+						return d.call(env, c.front)
+					}
+					if got, want := ask(standalone), ask(broker); got != want {
+						t.Errorf("standalone answers %s\n           broker answers %s", got, want)
+					}
+				})
+			}
+		}
+	}
+}

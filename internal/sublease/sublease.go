@@ -128,6 +128,22 @@ func (s *Store) Restore(sn Snapshot) error {
 	return nil
 }
 
+// Grant settles a requested expiry (zero: none requested) against a
+// server's lease policy at now: def is granted when nothing was requested
+// and max caps every grant; a zero duration disables either rule.
+func Grant(requested, now time.Time, def, max time.Duration) time.Time {
+	t := requested
+	if t.IsZero() && def > 0 {
+		t = now.Add(def)
+	}
+	if !t.IsZero() && max > 0 {
+		if limit := now.Add(max); t.After(limit) {
+			t = limit
+		}
+	}
+	return t
+}
+
 // Create registers a new lease. A zero expires means "never expires"
 // (both specs allow the producer to grant indefinite subscriptions).
 func (s *Store) Create(data any, expires time.Time) *Lease {

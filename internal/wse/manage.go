@@ -1,0 +1,105 @@
+package wse
+
+import (
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/soap"
+	"repro/internal/wsa"
+	"repro/internal/xmldom"
+)
+
+// Manager is the subscription state a WS-Eventing subscription manager
+// acts on. HandleManagement owns the wire side — parsing, the version's
+// operation set, faults and replies — so every server that implements
+// Manager answers the vocabulary identically over its own store.
+type Manager interface {
+	// Now is the instant duration expirations count from.
+	Now() time.Time
+	// Renew extends the subscription to the requested expiry (zero: none
+	// requested) and returns the expiry granted.
+	Renew(id string, requested time.Time) (time.Time, error)
+	// Expires reports the subscription's expiry (zero: indefinite).
+	Expires(id string) (time.Time, error)
+	Unsubscribe(id string) error
+	// Pull takes up to max (0: all) buffered notifications, oldest first.
+	Pull(id string, max int) ([]*xmldom.Element, error)
+}
+
+// HandleManagement answers a Renew, GetStatus, Unsubscribe or Pull request
+// of version v addressed to subscription id. nextID mints the reply's
+// message id and is called only once a reply is certain.
+func HandleManagement(v Version, m Manager, env *soap.Envelope, id string, nextID func() string) (*soap.Envelope, error) {
+	body := env.FirstBody()
+	if body == nil {
+		return nil, FaultInvalidMessage(v, "empty body")
+	}
+	ns := v.NS()
+	unknown := func() error { return FaultInvalidMessage(v, "unknown subscription "+id) }
+	var resp *xmldom.Element
+	switch body.Name {
+	case xmldom.N(ns, "Renew"):
+		requested, err := ResolveExpires(body.ChildText(xmldom.N(ns, "Expires")), m.Now())
+		if err != nil {
+			return nil, FaultUnsupportedExpirationType(v)
+		}
+		granted, err := m.Renew(id, requested)
+		if err != nil {
+			return nil, unknown()
+		}
+		resp = xmldom.Elem(ns, "RenewResponse", xmldom.Elem(ns, "Expires", expiryText(granted)))
+	case xmldom.N(ns, "GetStatus"):
+		if !v.SupportsGetStatus() {
+			return nil, FaultInvalidMessage(v, "GetStatus is not defined in "+v.String())
+		}
+		expires, err := m.Expires(id)
+		if err != nil {
+			return nil, unknown()
+		}
+		resp = xmldom.Elem(ns, "GetStatusResponse", xmldom.Elem(ns, "Expires", expiryText(expires)))
+	case xmldom.N(ns, "Unsubscribe"):
+		if err := m.Unsubscribe(id); err != nil {
+			return nil, unknown()
+		}
+		resp = xmldom.NewElement(xmldom.N(ns, "UnsubscribeResponse"))
+	case xmldom.N(ns, "Pull"):
+		if !v.SupportsPull() {
+			return nil, FaultInvalidMessage(v, "Pull is not defined in "+v.String())
+		}
+		if _, err := m.Expires(id); err != nil { // an unknown id outranks a bad MaxElements
+			return nil, unknown()
+		}
+		max := 0 // absent: everything buffered
+		if raw := body.ChildText(xmldom.N(ns, "MaxElements")); raw != "" {
+			var err error
+			if max, err = strconv.Atoi(strings.TrimSpace(raw)); err != nil || max < 0 {
+				return nil, FaultInvalidMessage(v, "MaxElements must be a non-negative integer, got "+strconv.Quote(raw))
+			}
+		}
+		msgs, err := m.Pull(id, max)
+		if err != nil {
+			return nil, unknown()
+		}
+		resp = xmldom.NewElement(xmldom.N(ns, "PullResponse"))
+		for _, msg := range msgs {
+			resp.Append(xmldom.Elem(ns, "Message", msg))
+		}
+	default:
+		return nil, FaultInvalidMessage(v, "unknown operation "+body.Name.Local)
+	}
+	return reply(v, env, resp, nextID), nil
+}
+
+// reply wraps a response body for req, its action named after the body
+// element as every WS-Eventing response action is.
+func reply(v Version, req *soap.Envelope, body *xmldom.Element, nextID func() string) *soap.Envelope {
+	h := &wsa.MessageHeaders{Version: v.WSAVersion(), Action: v.action(body.Name.Local), MessageID: nextID()}
+	if in, ok := wsa.ParseHeaders(req); ok {
+		h.RelatesTo = in.MessageID
+	}
+	out := soap.New(req.Version)
+	h.Apply(out)
+	out.AddBody(body)
+	return out
+}

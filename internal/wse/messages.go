@@ -117,6 +117,23 @@ func ParseSubscribe(body *xmldom.Element) (*SubscribeRequest, Version, error) {
 	return req, v, nil
 }
 
+// Validate applies version v's rules to a parsed Subscribe: it needs a
+// NotifyTo, and only push exists before 8/2004 added pull and wrapped
+// delivery. The error is the fault to answer with.
+func (r *SubscribeRequest) Validate(v Version) error {
+	if r.NotifyTo == nil {
+		return FaultInvalidMessage(v, "Subscribe has no NotifyTo")
+	}
+	switch {
+	case r.Mode == "" || r.Mode == v.DeliveryModePush():
+	case r.Mode == v.DeliveryModePull() && v.SupportsPull():
+	case r.Mode == v.DeliveryModeWrap() && v.SupportsWrapped():
+	default:
+		return FaultDeliveryModeUnavailable(v, r.Mode)
+	}
+	return nil
+}
+
 // SubscribeResponse is the granted subscription: where to manage it, its
 // identifier, and the granted expiration.
 type SubscribeResponse struct {
@@ -136,17 +153,8 @@ func (r *SubscribeResponse) Element(v Version) *xmldom.Element {
 	resp := xmldom.NewElement(xmldom.N(ns, "SubscribeResponse"))
 	if v == V200401 {
 		resp.Append(xmldom.Elem(ns, "Id", r.ID))
-	} else {
-		mgr := r.Manager
-		if mgr != nil {
-			mgr = mgr.Convert(wsa.V200408)
-			withID := &wsa.EndpointReference{Version: mgr.Version, Address: mgr.Address}
-			for _, p := range mgr.IdentityParameters() {
-				withID.AddReferenceParameter(p.Clone())
-			}
-			withID.AddReferenceParameter(xmldom.Elem(ns, "Identifier", r.ID))
-			resp.Append(withID.Element(xmldom.N(ns, "SubscriptionManager")))
-		}
+	} else if r.Manager != nil {
+		resp.Append(managerElement(r.Manager, r.ID))
 	}
 	if r.Expires != "" {
 		resp.Append(xmldom.Elem(ns, "Expires", r.Expires))
@@ -179,13 +187,31 @@ func ParseSubscribeResponse(body *xmldom.Element) (*SubscribeResponse, Version, 
 	if err != nil {
 		return nil, v, err
 	}
-	out.Manager = epr
+	out.Manager, out.ID = epr, identifier(epr)
+	return out, v, nil
+}
+
+// managerElement renders an 8/2004 SubscriptionManager EPR carrying the
+// subscription id as its wse:Identifier reference parameter — convergence
+// item 2 of §IV on the wire.
+func managerElement(mgr *wsa.EndpointReference, id string) *xmldom.Element {
+	mgr = mgr.Convert(wsa.V200408)
+	withID := &wsa.EndpointReference{Version: mgr.Version, Address: mgr.Address}
+	for _, p := range mgr.IdentityParameters() {
+		withID.AddReferenceParameter(p.Clone())
+	}
+	withID.AddReferenceParameter(xmldom.Elem(NS200408, "Identifier", id))
+	return withID.Element(xmldom.N(NS200408, "SubscriptionManager"))
+}
+
+// identifier recovers the subscription id from a SubscriptionManager EPR.
+func identifier(epr *wsa.EndpointReference) (id string) {
 	for _, p := range epr.IdentityParameters() {
-		if p.Name == xmldom.N(ns, "Identifier") {
-			out.ID = strings.TrimSpace(p.Text())
+		if p.Name == V200408.IdentifierName() {
+			id = strings.TrimSpace(p.Text())
 		}
 	}
-	return out, v, nil
+	return id
 }
 
 // NewRenew builds a renew body; expires may be empty to let the source
@@ -243,13 +269,7 @@ func (s *SubscriptionEnd) Element(v Version) *xmldom.Element {
 	if v == V200401 {
 		el.Append(xmldom.Elem(ns, "Id", s.ID))
 	} else if s.Manager != nil {
-		mgr := s.Manager.Convert(wsa.V200408)
-		withID := &wsa.EndpointReference{Version: mgr.Version, Address: mgr.Address}
-		for _, p := range mgr.IdentityParameters() {
-			withID.AddReferenceParameter(p.Clone())
-		}
-		withID.AddReferenceParameter(xmldom.Elem(ns, "Identifier", s.ID))
-		el.Append(withID.Element(xmldom.N(ns, "SubscriptionManager")))
+		el.Append(managerElement(s.Manager, s.ID))
 	}
 	el.Append(xmldom.Elem(ns, "Status", v.NS()+"/"+s.Status))
 	if s.Reason != "" {
@@ -285,12 +305,7 @@ func ParseSubscriptionEnd(body *xmldom.Element) (*SubscriptionEnd, Version, erro
 		if err != nil {
 			return nil, v, err
 		}
-		out.Manager = epr
-		for _, p := range epr.IdentityParameters() {
-			if p.Name == xmldom.N(ns, "Identifier") {
-				out.ID = strings.TrimSpace(p.Text())
-			}
-		}
+		out.Manager, out.ID = epr, identifier(epr)
 	}
 	return out, v, nil
 }

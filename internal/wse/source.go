@@ -143,7 +143,7 @@ func (s *Source) SourceHandler() transport.Handler {
 			return s.handleSubscribe(env)
 		}
 		if !s.separateEndpoints() {
-			return s.handleManagement(env)
+			return s.manage(env)
 		}
 		return nil, FaultInvalidMessage(s.cfg.Version,
 			fmt.Sprintf("operation %s must be sent to the subscription manager", body.Name.Local))
@@ -154,8 +154,12 @@ func (s *Source) SourceHandler() transport.Handler {
 // endpoint: Renew, GetStatus, Unsubscribe and Pull.
 func (s *Source) ManagerHandler() transport.Handler {
 	return transport.HandlerFunc(func(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
-		return s.handleManagement(env)
+		return s.manage(env)
 	})
+}
+
+func (s *Source) manage(env *soap.Envelope) (*soap.Envelope, error) {
+	return HandleManagement(s.cfg.Version, sourceState{s}, env, s.subscriptionID(env), s.nextMessageID)
 }
 
 func (s *Source) separateEndpoints() bool {
@@ -171,26 +175,8 @@ func (s *Source) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 	if reqVer != v {
 		return nil, FaultInvalidMessage(v, fmt.Sprintf("subscribe uses %v, this source speaks %v", reqVer, v))
 	}
-	if req.NotifyTo == nil {
-		return nil, FaultInvalidMessage(v, "Subscribe has no NotifyTo endpoint")
-	}
-
-	mode := req.Mode
-	if mode == "" {
-		mode = v.DeliveryModePush()
-	}
-	switch mode {
-	case v.DeliveryModePush():
-	case v.DeliveryModePull():
-		if !v.SupportsPull() {
-			return nil, FaultDeliveryModeUnavailable(v, mode)
-		}
-	case v.DeliveryModeWrap():
-		if !v.SupportsWrapped() {
-			return nil, FaultDeliveryModeUnavailable(v, mode)
-		}
-	default:
-		return nil, FaultDeliveryModeUnavailable(v, mode)
+	if err := req.Validate(v); err != nil {
+		return nil, err
 	}
 
 	flt := filter.Filter(filter.AcceptAll)
@@ -202,12 +188,14 @@ func (s *Source) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 		flt = c
 	}
 
-	expires, err := s.grantExpiry(req.Expires)
+	now := s.cfg.Clock()
+	requested, err := ResolveExpires(req.Expires, now)
 	if err != nil {
 		return nil, FaultUnsupportedExpirationType(v)
 	}
+	expires := sublease.Grant(requested, now, s.cfg.DefaultExpiry, s.cfg.MaxExpiry)
 
-	sub := &subscription{notifyTo: req.NotifyTo, endTo: req.EndTo, mode: mode, flt: flt}
+	sub := &subscription{notifyTo: req.NotifyTo, endTo: req.EndTo, mode: req.Mode, flt: flt}
 	lease := s.store.Create(sub, expires)
 
 	resp := &SubscribeResponse{
@@ -215,27 +203,7 @@ func (s *Source) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 		ID:      lease.ID,
 		Expires: expiryText(expires),
 	}
-	out := soap.New(env.Version)
-	s.replyHeaders(env, v.ActionSubscribeResponse()).Apply(out)
-	out.AddBody(resp.Element(v))
-	return out, nil
-}
-
-func (s *Source) grantExpiry(raw string) (time.Time, error) {
-	now := s.cfg.Clock()
-	t, err := ResolveExpires(raw, now)
-	if err != nil {
-		return time.Time{}, err
-	}
-	if t.IsZero() && s.cfg.DefaultExpiry > 0 {
-		t = now.Add(s.cfg.DefaultExpiry)
-	}
-	if !t.IsZero() && s.cfg.MaxExpiry > 0 {
-		if limit := now.Add(s.cfg.MaxExpiry); t.After(limit) {
-			t = limit
-		}
-	}
-	return t, nil
+	return reply(v, env, resp.Element(v), s.nextMessageID), nil
 }
 
 func expiryText(t time.Time) string {
@@ -245,110 +213,44 @@ func expiryText(t time.Time) string {
 	return xsdt.FormatDateTime(t)
 }
 
-// replyHeaders builds response addressing relating to the request.
-func (s *Source) replyHeaders(req *soap.Envelope, action string) *wsa.MessageHeaders {
-	h := &wsa.MessageHeaders{Version: s.cfg.Version.WSAVersion(), Action: action, MessageID: s.nextMessageID()}
-	if in, ok := wsa.ParseHeaders(req); ok {
-		h.RelatesTo = in.MessageID
-	}
-	return h
-}
-
 // subscriptionID recovers which subscription a management request
 // addresses: the wse:Identifier reference parameter echoed as a header
 // (8/2004) or the wse:Id element in the body (1/2004).
 func (s *Source) subscriptionID(env *soap.Envelope) string {
 	v := s.cfg.Version
-	if v == V200408 {
-		if h := env.Header(v.IdentifierName()); h != nil {
-			return trimText(h)
-		}
+	el := env.Header(v.IdentifierName())
+	if v == V200401 && env.FirstBody() != nil {
+		el = env.FirstBody().Child(v.IdentifierName())
+	}
+	if el == nil {
 		return ""
 	}
-	if body := env.FirstBody(); body != nil {
-		if id := body.Child(v.IdentifierName()); id != nil {
-			return trimText(id)
-		}
-	}
-	return ""
-}
-
-func trimText(el *xmldom.Element) string {
 	return strings.TrimSpace(el.Text())
 }
 
-func (s *Source) handleManagement(env *soap.Envelope) (*soap.Envelope, error) {
-	v := s.cfg.Version
-	body := env.FirstBody()
-	if body == nil {
-		return nil, FaultInvalidMessage(v, "empty body")
+// sourceState is the Source's lease store and pull queues as
+// HandleManagement sees them.
+type sourceState struct{ *Source }
+
+func (s sourceState) Now() time.Time { return s.cfg.Clock() }
+
+func (s sourceState) Renew(id string, requested time.Time) (time.Time, error) {
+	return s.store.Renew(id, sublease.Grant(requested, s.cfg.Clock(), s.cfg.DefaultExpiry, s.cfg.MaxExpiry))
+}
+
+func (s sourceState) Expires(id string) (time.Time, error) {
+	sn, err := s.store.Get(id)
+	return sn.Expires, err
+}
+
+func (s sourceState) Unsubscribe(id string) error { return s.store.Cancel(id, sublease.EndCancelled) }
+
+func (s sourceState) Pull(id string, max int) ([]*xmldom.Element, error) {
+	sn, err := s.store.Get(id)
+	if err != nil {
+		return nil, err
 	}
-	ns := v.NS()
-	id := s.subscriptionID(env)
-	switch body.Name {
-	case xmldom.N(ns, "Renew"):
-		raw := body.ChildText(xmldom.N(ns, "Expires"))
-		expires, err := s.grantExpiry(raw)
-		if err != nil {
-			return nil, FaultUnsupportedExpirationType(v)
-		}
-		granted, err := s.store.Renew(id, expires)
-		if err != nil {
-			return nil, FaultInvalidMessage(v, "unknown subscription "+id)
-		}
-		out := soap.New(env.Version)
-		s.replyHeaders(env, v.ActionRenewResponse()).Apply(out)
-		out.AddBody(xmldom.Elem(ns, "RenewResponse",
-			xmldom.Elem(ns, "Expires", expiryText(granted))))
-		return out, nil
-
-	case xmldom.N(ns, "GetStatus"):
-		if !v.SupportsGetStatus() {
-			return nil, FaultInvalidMessage(v, "GetStatus is not defined in "+v.String())
-		}
-		sn, err := s.store.Get(id)
-		if err != nil {
-			return nil, FaultInvalidMessage(v, "unknown subscription "+id)
-		}
-		out := soap.New(env.Version)
-		s.replyHeaders(env, v.ActionGetStatusResponse()).Apply(out)
-		out.AddBody(xmldom.Elem(ns, "GetStatusResponse",
-			xmldom.Elem(ns, "Expires", expiryText(sn.Expires))))
-		return out, nil
-
-	case xmldom.N(ns, "Unsubscribe"):
-		if err := s.store.Cancel(id, sublease.EndCancelled); err != nil {
-			return nil, FaultInvalidMessage(v, "unknown subscription "+id)
-		}
-		out := soap.New(env.Version)
-		s.replyHeaders(env, v.ActionUnsubscribeResponse()).Apply(out)
-		out.AddBody(xmldom.NewElement(xmldom.N(ns, "UnsubscribeResponse")))
-		return out, nil
-
-	case xmldom.N(ns, "Pull"):
-		if !v.SupportsPull() {
-			return nil, FaultInvalidMessage(v, "Pull is not defined in "+v.String())
-		}
-		sn, err := s.store.Get(id)
-		if err != nil {
-			return nil, FaultInvalidMessage(v, "unknown subscription "+id)
-		}
-		sub := sn.Data.(*subscription)
-		max := 0
-		if m := body.ChildText(xmldom.N(ns, "MaxElements")); m != "" {
-			fmt.Sscanf(m, "%d", &max)
-		}
-		msgs := sub.drain(max)
-		out := soap.New(env.Version)
-		s.replyHeaders(env, v.ActionPullResponse()).Apply(out)
-		resp := xmldom.NewElement(xmldom.N(ns, "PullResponse"))
-		for _, m := range msgs {
-			resp.Append(xmldom.Elem(ns, "Message", m))
-		}
-		out.AddBody(resp)
-		return out, nil
-	}
-	return nil, FaultInvalidMessage(v, fmt.Sprintf("unknown operation %v", body.Name))
+	return sn.Data.(*subscription).drain(max), nil
 }
 
 func (sub *subscription) drain(max int) []*xmldom.Element {
@@ -480,10 +382,7 @@ func (s *Source) deliverWrapped(ctx context.Context, id string, sub *subscriptio
 	for _, m := range batch {
 		wrapper.Append(xmldom.Elem(WrappedName.Space, "Message", m))
 	}
-	env := s.notificationEnvelope(sub, wrapper, action, topic)
-	err := s.cfg.Client.Send(ctx, sub.notifyTo.Address, env)
-	s.recordDelivery(ctx, id, sub, err)
-	return err
+	return s.push(ctx, id, sub, wrapper, action, topic)
 }
 
 // FlushWrapped forces out every partially filled wrapped-mode batch.

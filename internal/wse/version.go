@@ -117,25 +117,25 @@ func (v Version) IdentifierInWSA() bool { return v == V200408 }
 // the machine-checkable ones by exercising the implementation.
 func (v Version) Capabilities() spec.Capabilities {
 	c := spec.Capabilities{
-		Name:            v.String(),
-		DurationExpiry:  true,
-		XPathDialect:    true,
-		FilterElement:   true,
-		SubscriptionEnd: true,
-		WSAVersion:      v.WSAVersion().String(),
+		Name:                        v.String(),
+		DurationExpiry:              true,
+		XPathDialect:                true,
+		FilterElement:               true,
+		SubscriptionEnd:             true,
+		WSAVersion:                  v.WSAVersion().String(),
+		GetStatusOperation:          v.SupportsGetStatus(),
+		PullDelivery:                v.SupportsPull(),
+		WrappedDelivery:             v.SupportsWrapped(),
+		SeparateSubscriptionManager: v.SeparateManager(),
+		SubscriptionIDInWSA:         v.IdentifierInWSA(),
 	}
 	if v == V200401 {
 		c.ReleaseTag = "1/2004"
 		return c
 	}
 	c.ReleaseTag = "8/2004"
-	c.SeparateSubscriptionManager = true
 	c.SeparateSubscriberAndSink = true
-	c.GetStatusOperation = true
 	c.GetStatusRequired = true
-	c.SubscriptionIDInWSA = true
-	c.WrappedDelivery = true
-	c.PullDelivery = true
 	c.PullModeInSubscription = true
 	return c
 }

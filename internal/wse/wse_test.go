@@ -286,6 +286,30 @@ func TestPullMode(t *testing.T) {
 	}
 }
 
+// TestPullRejectsMalformedMaxElements: a MaxElements that is not a
+// non-negative integer is InvalidMessage and consumes nothing, rather than
+// being read as "everything".
+func TestPullRejectsMalformedMaxElements(t *testing.T) {
+	f := newFixture(t, V200408)
+	h := f.subscribe(t, &SubscribeRequest{Mode: V200408.DeliveryModePull()})
+	for i := 0; i < 3; i++ {
+		f.source.Publish(context.Background(), payload("IBM", "80"), PublishOptions{})
+	}
+	for _, bad := range []string{"abc", "-1", "1.5"} {
+		env := soap.New(soap.V11)
+		wsa.DestinationEPR(h.Manager, V200408.ActionPull(), "urn:test:pull").Apply(env)
+		env.AddBody(xmldom.Elem(NS200408, "Pull", xmldom.Elem(NS200408, "MaxElements", bad)))
+		_, err := f.lb.Call(context.Background(), h.Manager.Address, env)
+		var fault *soap.Fault
+		if !errors.As(err, &fault) || fault.Subcode.Local != "InvalidMessage" {
+			t.Errorf("MaxElements %q: err = %v, want InvalidMessage", bad, err)
+		}
+	}
+	if msgs, err := f.sub.Pull(context.Background(), h, 0); err != nil || len(msgs) != 3 {
+		t.Errorf("after malformed pulls: %d messages, %v; want all 3 still queued", len(msgs), err)
+	}
+}
+
 func TestPullModeRejectedIn200401(t *testing.T) {
 	f := newFixture(t, V200401)
 	_, err := f.sub.Subscribe(context.Background(), "svc://source",

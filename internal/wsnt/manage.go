@@ -1,0 +1,147 @@
+package wsnt
+
+import (
+	"errors"
+	"strings"
+	"time"
+
+	"repro/internal/soap"
+	"repro/internal/sublease"
+	"repro/internal/topics"
+	"repro/internal/wsa"
+	"repro/internal/wse"
+	"repro/internal/xmldom"
+	"repro/internal/xsdt"
+)
+
+// Manager is the subscription state a WS-BaseNotification subscription
+// manager and producer act on. HandleManagement and HandleGetCurrentMessage
+// own the wire side — parsing, the version's operation set, faults and
+// replies — so every server that implements Manager answers the vocabulary
+// identically over its own store.
+type Manager interface {
+	// Now is the instant durations count from and CurrentTime reports.
+	Now() time.Time
+	// Renew extends the subscription to the requested expiry (zero: none
+	// requested) and returns the expiry granted.
+	Renew(id string, requested time.Time) (time.Time, error)
+	Unsubscribe(id string) error
+	// Pause and Resume fail with sublease.ErrNotFound for an unknown id;
+	// any other error is a known subscription that cannot comply.
+	Pause(id string) error
+	Resume(id string) error
+	// CurrentMessage is the last message published on topic, nil if none.
+	CurrentMessage(topic topics.Path) *xmldom.Element
+}
+
+// ResolveTerminationTime interprets a raw InitialTerminationTime or Renew
+// TerminationTime at now; empty means none requested. 1.3 took the
+// xsd:duration form from WS-Eventing, 1.0 accepts absolute dateTimes only
+// (Table 1, "Specify subscription expiration using duration").
+func (v Version) ResolveTerminationTime(raw string, now time.Time) (time.Time, error) {
+	if !v.SupportsDurationExpiry() && xsdt.LooksLikeDuration(raw) {
+		return time.Time{}, errors.New("duration expirations require WS-Notification 1.3")
+	}
+	return wse.ResolveExpires(raw, now)
+}
+
+// HandleManagement answers a PauseSubscription, ResumeSubscription, Renew
+// or Unsubscribe request of version v addressed to subscription id. nextID
+// mints the reply's message id and is called only once a reply is certain.
+func HandleManagement(v Version, m Manager, env *soap.Envelope, id string, nextID func() string) (*soap.Envelope, error) {
+	body := env.FirstBody()
+	if body == nil {
+		return nil, FaultSubscribeCreationFailed(v, "empty body")
+	}
+	ns := v.NS()
+	var resp *xmldom.Element
+	switch body.Name {
+	case xmldom.N(ns, "PauseSubscription"), xmldom.N(ns, "ResumeSubscription"):
+		op, failed := m.Pause, FaultPauseFailed
+		if body.Name.Local == "ResumeSubscription" {
+			op, failed = m.Resume, FaultResumeFailed
+		}
+		if err := op(id); err != nil {
+			// An unknown id is ResourceUnknownFault; an operation that fails
+			// for a known subscription (e.g. an expired lease) is 1.3's
+			// distinct PauseFailedFault / ResumeFailedFault.
+			if v == V1_3 && !errors.Is(err, sublease.ErrNotFound) {
+				return nil, failed(v, err.Error())
+			}
+			return nil, FaultUnknownSubscription(v, id)
+		}
+		resp = xmldom.NewElement(xmldom.N(ns, body.Name.Local+"Response"))
+	case xmldom.N(ns, "Renew"):
+		if !v.SupportsNativeManagement() {
+			// Table 2: 1.0 renews through WSRF SetTerminationTime only.
+			return nil, FaultUnsupportedOperation(v, "Renew")
+		}
+		requested, err := v.ResolveTerminationTime(body.ChildText(xmldom.N(ns, "TerminationTime")), m.Now())
+		if err != nil {
+			return nil, FaultUnacceptableTerminationTime(v, err.Error())
+		}
+		granted, err := m.Renew(id, requested)
+		if err != nil {
+			return nil, FaultUnknownSubscription(v, id)
+		}
+		resp = xmldom.NewElement(xmldom.N(ns, "RenewResponse"))
+		if !granted.IsZero() {
+			resp.Append(xmldom.Elem(ns, "TerminationTime", xsdt.FormatDateTime(granted)))
+		}
+		resp.Append(xmldom.Elem(ns, "CurrentTime", xsdt.FormatDateTime(m.Now())))
+	case xmldom.N(ns, "Unsubscribe"):
+		if !v.SupportsNativeManagement() {
+			// Table 2: 1.0 unsubscribes through WSRF Destroy only.
+			return nil, FaultUnsupportedOperation(v, "Unsubscribe")
+		}
+		if err := m.Unsubscribe(id); err != nil {
+			return nil, FaultUnknownSubscription(v, id)
+		}
+		resp = xmldom.NewElement(xmldom.N(ns, "UnsubscribeResponse"))
+	default:
+		return nil, FaultUnsupportedOperation(v, body.Name.Local)
+	}
+	return reply(v, env, resp, nextID), nil
+}
+
+// HandleGetCurrentMessage answers a GetCurrentMessage request of version v:
+// the last message published on the request's concrete topic. Every way
+// the Topic can fail to name one — absent, unparseable, not concrete — is
+// InvalidFilterFault.
+func HandleGetCurrentMessage(v Version, m Manager, env *soap.Envelope, nextID func() string) (*soap.Envelope, error) {
+	ns := v.NS()
+	te := env.FirstBody().Child(xmldom.N(ns, "Topic"))
+	if te == nil {
+		return nil, FaultInvalidFilter(v, "GetCurrentMessage requires a Topic")
+	}
+	dialect := te.AttrValue(xmldom.N("", "Dialect"))
+	if dialect == "" {
+		dialect = topics.DialectConcrete
+	}
+	expr, err := topics.ParseExpression(dialect, strings.TrimSpace(te.Text()), te.ScopeBindings())
+	if err != nil {
+		return nil, FaultInvalidFilter(v, err.Error())
+	}
+	cp, ok := expr.ConcretePath()
+	if !ok {
+		return nil, FaultInvalidFilter(v, "GetCurrentMessage requires a concrete topic")
+	}
+	msg := m.CurrentMessage(cp)
+	if msg == nil {
+		return nil, FaultNoCurrentMessage(v, cp.String())
+	}
+	return reply(v, env, xmldom.Elem(ns, "GetCurrentMessageResponse", msg.Clone()), nextID), nil
+}
+
+// reply wraps a response body for req, its action named after the body
+// element as every WS-BaseNotification response action is.
+func reply(v Version, req *soap.Envelope, body *xmldom.Element, nextID func() string) *soap.Envelope {
+	h := &wsa.MessageHeaders{Version: v.WSAVersion(), Action: v.action(body.Name.Local), MessageID: nextID()}
+	if in, ok := wsa.ParseHeaders(req); ok {
+		h.RelatesTo = in.MessageID
+	}
+	out := soap.New(req.Version)
+	h.Apply(out)
+	out.AddBody(body)
+	return out
+}

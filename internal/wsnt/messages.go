@@ -173,6 +173,19 @@ func ParseSubscribe(body *xmldom.Element) (*SubscribeRequest, Version, error) {
 	return req, v, nil
 }
 
+// Validate applies version v's rules to a parsed Subscribe: it needs a
+// ConsumerReference, and 1.0 also a TopicExpression. The error is the fault
+// to answer with.
+func (r *SubscribeRequest) Validate(v Version) error {
+	if r.ConsumerReference == nil {
+		return FaultSubscribeCreationFailed(v, "missing ConsumerReference")
+	}
+	if v.RequiresTopic() && r.TopicExpression == "" {
+		return FaultSubscribeCreationFailed(v, "version 1.0 requires a TopicExpression")
+	}
+	return nil
+}
+
 // BuildFilter compiles the request's filters into a conjunction, using the
 // version's dialect defaults (1.0 Selectors have no dialect attribute; the
 // implementation evaluates them as XPath, which is why Table 1's "Specify

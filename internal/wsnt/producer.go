@@ -2,7 +2,6 @@ package wsnt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -150,10 +149,10 @@ func (p *Producer) ProducerHandler() transport.Handler {
 		case xmldom.N(ns, "Subscribe"):
 			return p.handleSubscribe(env)
 		case xmldom.N(ns, "GetCurrentMessage"):
-			return p.handleGetCurrentMessage(env)
+			return HandleGetCurrentMessage(p.cfg.Version, producerState{p}, env, p.nextMessageID)
 		}
 		if p.cfg.ManagerAddress == p.cfg.Address {
-			return p.handleManagement(ctx, env)
+			return p.ManagerHandler().ServeSOAP(ctx, env)
 		}
 		return nil, FaultUnsupportedOperation(p.cfg.Version, body.Name.Local)
 	})
@@ -163,7 +162,19 @@ func (p *Producer) ProducerHandler() transport.Handler {
 // a WSRF service (plus the required pause/resume); for 1.3 it exposes the
 // native Renew/Unsubscribe/Pause/Resume operations.
 func (p *Producer) ManagerHandler() transport.Handler {
-	return transport.HandlerFunc(p.handleManagement)
+	return transport.HandlerFunc(func(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
+		v := p.cfg.Version
+		if !wsrf.Handles(env) {
+			return HandleManagement(v, producerState{p}, env, p.subscriptionIDFromEnvelope(env), p.nextMessageID)
+		}
+		// WSRF operations: the 1.0 path (1.3 makes WSRF optional and this
+		// implementation composes it only where required).
+		if !v.RequiresWSRF() {
+			return nil, FaultUnsupportedOperation(v,
+				env.FirstBody().Name.Local+" (WSRF is optional in 1.3 and not composed here)")
+		}
+		return p.wsrfSvc.ServeSOAP(ctx, env)
+	})
 }
 
 func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
@@ -176,12 +187,8 @@ func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 		return nil, FaultSubscribeCreationFailed(v,
 			fmt.Sprintf("subscribe uses %v, this producer speaks %v", reqVer, v))
 	}
-	if req.ConsumerReference == nil {
-		return nil, FaultSubscribeCreationFailed(v, "missing ConsumerReference")
-	}
-	if v.RequiresTopic() && req.TopicExpression == "" {
-		return nil, FaultSubscribeCreationFailed(v,
-			"WS-Notification 1.0 requires a TopicExpression in every subscription")
+	if err := req.Validate(v); err != nil {
+		return nil, err
 	}
 
 	flt, err := req.BuildFilter(v)
@@ -190,24 +197,16 @@ func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 	}
 
 	// Topic support check against the advertised topic space.
-	if req.TopicExpression != "" && p.cfg.FixedTopicSet {
-		dialect := req.TopicDialect
-		if dialect == "" {
-			dialect = topics.DialectConcrete
-		}
-		te, err := topics.ParseExpression(dialect, req.TopicExpression, req.TopicNS)
-		if err != nil {
-			return nil, FaultInvalidFilter(v, err.Error())
-		}
-		if !p.cfg.Topics.Supports(te) {
-			return nil, FaultTopicNotSupported(v, req.TopicExpression)
-		}
+	if tf, ok := topicFilter(flt); ok && p.cfg.FixedTopicSet && !p.cfg.Topics.Supports(tf.Expr) {
+		return nil, FaultTopicNotSupported(v, req.TopicExpression)
 	}
 
-	expires, err := p.grantExpiry(req.InitialTerminationTime)
+	now := p.cfg.Clock()
+	requested, err := v.ResolveTerminationTime(req.InitialTerminationTime, now)
 	if err != nil {
 		return nil, FaultUnacceptableTerminationTime(v, err.Error())
 	}
+	expires := sublease.Grant(requested, now, p.cfg.DefaultExpiry, p.cfg.MaxExpiry)
 
 	sub := &subscription{
 		consumer:  req.ConsumerReference,
@@ -217,7 +216,6 @@ func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 	}
 	lease := p.store.Create(sub, expires)
 
-	now := p.cfg.Clock()
 	resp := &SubscribeResponse{
 		SubscriptionReference: wsa.NewEPR(v.WSAVersion(), p.cfg.ManagerAddress),
 		ID:                    lease.ID,
@@ -226,184 +224,34 @@ func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 	if !expires.IsZero() {
 		resp.TerminationTime = xsdt.FormatDateTime(expires)
 	}
-	out := soap.New(env.Version)
-	p.replyHeaders(env, v.ActionSubscribeResponse()).Apply(out)
-	out.AddBody(resp.Element(v))
-	return out, nil
+	return reply(v, env, resp.Element(v), p.nextMessageID), nil
 }
 
-// grantExpiry resolves a raw InitialTerminationTime. Version 1.0 accepts
-// only absolute dateTimes — the Table 1 row "Specify subscription
-// expiration using duration" is No until 1.3.
-func (p *Producer) grantExpiry(raw string) (time.Time, error) {
-	now := p.cfg.Clock()
-	raw = strings.TrimSpace(raw)
-	var t time.Time
-	switch {
-	case raw == "":
-	case xsdt.LooksLikeDuration(raw):
-		if !p.cfg.Version.SupportsDurationExpiry() {
-			return time.Time{}, fmt.Errorf("duration expirations require version 1.3, got %q", raw)
-		}
-		d, err := xsdt.ParseDuration(raw)
-		if err != nil {
-			return time.Time{}, err
-		}
-		t = d.AddTo(now)
-	default:
-		var err error
-		t, err = xsdt.ParseDateTime(raw)
-		if err != nil {
-			return time.Time{}, err
-		}
-	}
-	if t.IsZero() && p.cfg.DefaultExpiry > 0 {
-		t = now.Add(p.cfg.DefaultExpiry)
-	}
-	if !t.IsZero() && p.cfg.MaxExpiry > 0 {
-		if limit := now.Add(p.cfg.MaxExpiry); t.After(limit) {
-			t = limit
-		}
-	}
-	return t, nil
+// producerState is the Producer's lease store and current messages as
+// HandleManagement and HandleGetCurrentMessage see them.
+type producerState struct{ *Producer }
+
+func (p producerState) Now() time.Time { return p.cfg.Clock() }
+
+func (p producerState) Renew(id string, requested time.Time) (time.Time, error) {
+	return p.store.Renew(id, sublease.Grant(requested, p.cfg.Clock(), p.cfg.DefaultExpiry, p.cfg.MaxExpiry))
 }
 
-func (p *Producer) replyHeaders(req *soap.Envelope, action string) *wsa.MessageHeaders {
-	h := &wsa.MessageHeaders{Version: p.cfg.Version.WSAVersion(), Action: action, MessageID: p.nextMessageID()}
-	if in, ok := wsa.ParseHeaders(req); ok {
-		h.RelatesTo = in.MessageID
-	}
-	return h
-}
+func (p producerState) Unsubscribe(id string) error { return p.store.Cancel(id, sublease.EndCancelled) }
+func (p producerState) Pause(id string) error       { return p.store.Pause(id) }
+func (p producerState) Resume(id string) error      { return p.store.Resume(id) }
 
-func (p *Producer) handleGetCurrentMessage(env *soap.Envelope) (*soap.Envelope, error) {
-	v := p.cfg.Version
-	ns := v.NS()
-	body := env.FirstBody()
-	te := body.Child(xmldom.N(ns, "Topic"))
-	if te == nil {
-		return nil, FaultSubscribeCreationFailed(v, "GetCurrentMessage requires a Topic")
-	}
-	dialect := te.AttrValue(xmldom.N("", "Dialect"))
-	if dialect == "" {
-		dialect = topics.DialectConcrete
-	}
-	expr, err := topics.ParseExpression(dialect, strings.TrimSpace(te.Text()), te.ScopeBindings())
-	if err != nil {
-		return nil, FaultInvalidFilter(v, err.Error())
-	}
-	cp, ok := expr.ConcretePath()
-	if !ok {
-		return nil, FaultInvalidFilter(v, "GetCurrentMessage requires a concrete topic")
-	}
+func (p producerState) CurrentMessage(topic topics.Path) *xmldom.Element {
 	p.mu.Lock()
-	msg := p.current[cp.String()]
-	p.mu.Unlock()
-	if msg == nil {
-		return nil, FaultNoCurrentMessage(v, cp.String())
-	}
-	out := soap.New(env.Version)
-	p.replyHeaders(env, v.NS()+"/GetCurrentMessageResponse").Apply(out)
-	out.AddBody(xmldom.Elem(ns, "GetCurrentMessageResponse", msg.Clone()))
-	return out, nil
-}
-
-func (p *Producer) handleManagement(_ context.Context, env *soap.Envelope) (*soap.Envelope, error) {
-	v := p.cfg.Version
-	ns := v.NS()
-	body := env.FirstBody()
-	if body == nil {
-		return nil, FaultSubscribeCreationFailed(v, "empty body")
-	}
-	id := p.subscriptionIDFromEnvelope(env)
-	switch body.Name {
-	case xmldom.N(ns, "PauseSubscription"):
-		if err := p.store.Pause(id); err != nil {
-			// An unknown id is ResourceUnknownFault; a pause that fails for
-			// a subscription the producer does know about (e.g. its lease
-			// just lapsed) is 1.3's distinct PauseFailedFault.
-			if v == V1_3 && !errors.Is(err, sublease.ErrNotFound) {
-				return nil, FaultPauseFailed(v, err.Error())
-			}
-			return nil, FaultUnknownSubscription(v, id)
-		}
-		out := soap.New(env.Version)
-		p.replyHeaders(env, ns+"/PauseSubscriptionResponse").Apply(out)
-		out.AddBody(xmldom.NewElement(xmldom.N(ns, "PauseSubscriptionResponse")))
-		return out, nil
-
-	case xmldom.N(ns, "ResumeSubscription"):
-		if err := p.store.Resume(id); err != nil {
-			if v == V1_3 && !errors.Is(err, sublease.ErrNotFound) {
-				return nil, FaultResumeFailed(v, err.Error())
-			}
-			return nil, FaultUnknownSubscription(v, id)
-		}
-		out := soap.New(env.Version)
-		p.replyHeaders(env, ns+"/ResumeSubscriptionResponse").Apply(out)
-		out.AddBody(xmldom.NewElement(xmldom.N(ns, "ResumeSubscriptionResponse")))
-		return out, nil
-
-	case xmldom.N(ns, "Renew"):
-		if !v.SupportsNativeManagement() {
-			// Table 2: 1.0 renews through WSRF SetTerminationTime only.
-			return nil, FaultUnsupportedOperation(v, "Renew")
-		}
-		raw := body.ChildText(xmldom.N(ns, "TerminationTime"))
-		expires, err := p.grantExpiry(raw)
-		if err != nil {
-			return nil, FaultUnacceptableTerminationTime(v, err.Error())
-		}
-		granted, err := p.store.Renew(id, expires)
-		if err != nil {
-			return nil, FaultUnknownSubscription(v, id)
-		}
-		out := soap.New(env.Version)
-		p.replyHeaders(env, ns+"/RenewResponse").Apply(out)
-		resp := xmldom.NewElement(xmldom.N(ns, "RenewResponse"))
-		if !granted.IsZero() {
-			resp.Append(xmldom.Elem(ns, "TerminationTime", xsdt.FormatDateTime(granted)))
-		}
-		resp.Append(xmldom.Elem(ns, "CurrentTime", xsdt.FormatDateTime(p.cfg.Clock())))
-		out.AddBody(resp)
-		return out, nil
-
-	case xmldom.N(ns, "Unsubscribe"):
-		if !v.SupportsNativeManagement() {
-			// Table 2: 1.0 unsubscribes through WSRF Destroy only.
-			return nil, FaultUnsupportedOperation(v, "Unsubscribe")
-		}
-		if err := p.store.Cancel(id, sublease.EndCancelled); err != nil {
-			return nil, FaultUnknownSubscription(v, id)
-		}
-		out := soap.New(env.Version)
-		p.replyHeaders(env, ns+"/UnsubscribeResponse").Apply(out)
-		out.AddBody(xmldom.NewElement(xmldom.N(ns, "UnsubscribeResponse")))
-		return out, nil
-	}
-
-	// WSRF operations: the 1.0 path (and 1.3's optional composition —
-	// this implementation keeps it enabled only where required).
-	if wsrf.Handles(env) {
-		if !v.RequiresWSRF() {
-			return nil, FaultUnsupportedOperation(v,
-				body.Name.Local+" (WSRF is optional in 1.3 and not composed here)")
-		}
-		return p.wsrfSvc.ServeSOAP(context.Background(), env)
-	}
-	return nil, FaultUnsupportedOperation(v, body.Name.Local)
+	defer p.mu.Unlock()
+	return p.current[topic.String()]
 }
 
 // Publish delivers a payload on a topic to every matching subscription and
 // records it as the topic's current message. It returns the number of
 // deliveries attempted.
 func (p *Producer) Publish(ctx context.Context, topic topics.Path, payload *xmldom.Element) (int, error) {
-	if !topic.IsZero() {
-		p.cfg.Topics.Add(topic)
-		p.mu.Lock()
-		p.current[topic.String()] = payload.Clone()
-		p.mu.Unlock()
-	}
+	p.setCurrent(topic, payload)
 	msg := filter.Message{Topic: topic, Payload: payload, ProducerProperties: p.cfg.Properties}
 	var firstErr error
 	delivered := 0
@@ -421,18 +269,23 @@ func (p *Producer) Publish(ctx context.Context, topic topics.Path, payload *xmld
 	return delivered, firstErr
 }
 
+// setCurrent records payload as topic's current message.
+func (p *Producer) setCurrent(topic topics.Path, payload *xmldom.Element) {
+	if !topic.IsZero() {
+		p.cfg.Topics.Add(topic)
+		p.mu.Lock()
+		p.current[topic.String()] = payload.Clone()
+		p.mu.Unlock()
+	}
+}
+
 // PublishBatch wraps several messages into one Notify per subscriber —
 // the efficiency case for the wrapped mode (§V.3 "Delivery mode").
 func (p *Producer) PublishBatch(ctx context.Context, topic topics.Path, payloads []*xmldom.Element) (int, error) {
 	if len(payloads) == 0 {
 		return 0, nil
 	}
-	if !topic.IsZero() {
-		p.cfg.Topics.Add(topic)
-		p.mu.Lock()
-		p.current[topic.String()] = payloads[len(payloads)-1].Clone()
-		p.mu.Unlock()
-	}
+	p.setCurrent(topic, payloads[len(payloads)-1])
 	v := p.cfg.Version
 	var firstErr error
 	delivered := 0
@@ -521,19 +374,21 @@ func (p *Producer) send(ctx context.Context, subID string, sub *subscription, bo
 // broker uses this to drive demand-based publishers (§V.5).
 func (p *Producer) HasTopicDemand(topic topics.Path) bool {
 	for _, sn := range p.store.Deliverable() {
-		sub := sn.Data.(*subscription)
-		demand := true
-		for _, f := range sub.flt {
-			if tf, ok := f.(filter.Topic); ok {
-				demand = tf.Expr.Matches(topic)
-				break
-			}
-		}
-		if demand {
+		if tf, ok := topicFilter(sn.Data.(*subscription).flt); !ok || tf.Expr.Matches(topic) {
 			return true
 		}
 	}
 	return false
+}
+
+// topicFilter is the topic filter of a compiled chain, if it has one.
+func topicFilter(flt filter.All) (filter.Topic, bool) {
+	for _, f := range flt {
+		if tf, ok := f.(filter.Topic); ok {
+			return tf, true
+		}
+	}
+	return filter.Topic{}, false
 }
 
 // Shutdown ends all subscriptions (1.0 consumers receive WSRF

@@ -390,6 +390,21 @@ func TestGetCurrentMessage(t *testing.T) {
 	}
 }
 
+// TestGetCurrentMessageWithoutTopic: a request naming no Topic is the same
+// InvalidFilterFault as one naming an unparseable or non-concrete topic.
+func TestGetCurrentMessageWithoutTopic(t *testing.T) {
+	for _, v := range []Version{V1_0, V1_3} {
+		f := newFixture(t, v)
+		env := soap.New(soap.V11)
+		env.AddBody(xmldom.NewElement(xmldom.N(v.NS(), "GetCurrentMessage")))
+		_, err := f.lb.Call(context.Background(), "svc://producer", env)
+		var fault *soap.Fault
+		if !errors.As(err, &fault) || fault.Subcode != xmldom.N(v.NS(), "InvalidFilterFault") {
+			t.Errorf("%v: err = %v, want InvalidFilterFault", v, err)
+		}
+	}
+}
+
 func TestFixedTopicSetRejectsUnknownTopics(t *testing.T) {
 	space := topics.NewSpace()
 	space.Add(jobTopic("jobs"))
