@@ -265,7 +265,7 @@ func TestWsbenchCheckTargetPinned(t *testing.T) {
 // it, and the packages must be within their ceilings right now — so plain
 // `go test ./...` catches growth even where nobody runs make. The spec
 // packages are tracked because they own the management vocabulary core
-// delegates to them.
+// delegates to them and sit on the shared dispatch engine.
 func TestLocCeilingsPinned(t *testing.T) {
 	root := repoRoot(t)
 	raw, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -289,7 +289,7 @@ func TestLocCeilingsPinned(t *testing.T) {
 		}
 		ceilings[name] = n
 	}
-	for _, pkg := range []string{"core", "dispatch", "destwriter", "wse", "wsnt"} {
+	for _, pkg := range []string{"core", "dispatch", "destwriter", "wse", "wsnt", "wsen"} {
 		max, ok := ceilings[pkg]
 		if !ok {
 			t.Errorf("LOC_CEILINGS lacks internal/%s", pkg)
@@ -312,6 +312,33 @@ func TestLocCeilingsPinned(t *testing.T) {
 		}
 		if lines > max {
 			t.Errorf("internal/%s has %d non-test lines, ceiling %d", pkg, lines, max)
+		}
+	}
+}
+
+// TestCheckRacesSpecEndpoints keeps the standalone spec endpoints in
+// `make check`'s race sweep: wse.Source, wsnt.Producer, wsen.Producer and
+// the wsbrk broker over them publish through the shared dispatch engine
+// concurrently with subscription churn.
+func TestCheckRacesSpecEndpoints(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(repoRoot(t), "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(raw), "\ncheck:")
+	if !ok {
+		t.Fatal("Makefile lacks a check target")
+	}
+	race := ""
+	for _, line := range strings.Split(rest, "\n") {
+		if strings.Contains(line, "go test -race") {
+			race = line
+			break
+		}
+	}
+	for _, pkg := range []string{"./internal/wse", "./internal/wsnt", "./internal/wsen", "./internal/wsbrk"} {
+		if !strings.Contains(race+" ", " "+pkg+" ") {
+			t.Errorf("make check's race sweep lacks %s (got %q)", pkg, race)
 		}
 	}
 }

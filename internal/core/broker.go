@@ -48,7 +48,6 @@ import (
 	"repro/internal/wsnt"
 	"repro/internal/wsrf"
 	"repro/internal/xmldom"
-	"repro/internal/xsdt"
 )
 
 // Config configures a WS-Messenger broker.
@@ -715,18 +714,6 @@ func (b *Broker) subscribeCE(st *subState) (id string, expires time.Time, err er
 	return id, expires, err
 }
 
-// selectorFor derives the topic-index placement from the compiled filter
-// chain: a topic filter indexes by its expression's concrete prefix,
-// anything else stays on the residual list.
-func selectorFor(flt filter.All) dispatch.Selector {
-	for _, f := range flt {
-		if tf, ok := f.(filter.Topic); ok {
-			return dispatch.ForExpression(tf.Expr)
-		}
-	}
-	return dispatch.MatchAll()
-}
-
 // attach registers a subscription with the dispatch engine, picking its
 // sink from the canonical delivery options: WSE pull mode becomes a
 // broker-side Pull buffer (drop-oldest at PullQueueCap); WSE wrapped mode
@@ -745,7 +732,7 @@ func (b *Broker) attach(id string, st *subState, paused bool, expires time.Time)
 	}
 	sub := dispatch.Sub{
 		ID:       id,
-		Selector: selectorFor(st.flt),
+		Selector: dispatch.ForExpression(st.flt.TopicExpression()),
 		Filter: func(m dispatch.Message) (bool, error) {
 			ok, err := b.accepts(st, m)
 			if err != nil || !ok {
@@ -938,10 +925,12 @@ func (br brokerResources) Resource(id string) (wsrf.Resource, error) {
 		// how WS-Topics says producers publish what can be subscribed to.
 		return brokerSelfResource{br.b}, nil
 	}
-	if _, err := br.b.store.Get(id); err != nil {
+	sn, err := br.b.store.Get(id)
+	if err != nil {
 		return nil, err
 	}
-	return &brokerSubResource{b: br.b, id: id}, nil
+	st := sn.Data.(*subState)
+	return wsnt.SubscriptionResource(brokerState{br.b}, wsnt.SubscriptionState{Snapshot: sn, Filter: st.flt, Consumer: st.canon.Consumer}), nil
 }
 
 // brokerSelfResource exposes broker-level resource properties.
@@ -979,40 +968,4 @@ func (brokerSelfResource) SetTerminationTime(time.Time) (time.Time, error) {
 // Destroy is not meaningful for the broker resource.
 func (brokerSelfResource) Destroy() error {
 	return soap.Faultf(soap.FaultSender, "the broker cannot be destroyed through WSRF")
-}
-
-type brokerSubResource struct {
-	b  *Broker
-	id string
-}
-
-func (r *brokerSubResource) PropertyDocument() (*xmldom.Element, error) {
-	sn, err := r.b.store.Get(r.id)
-	if err != nil {
-		return nil, err
-	}
-	st := sn.Data.(*subState)
-	ns := wsnt.NS1_0
-	doc := xmldom.NewElement(xmldom.N(ns, "SubscriptionProperties"))
-	doc.Append(xmldom.Elem(ns, "CreationTime", xsdt.FormatDateTime(sn.CreatedAt)))
-	if !sn.Expires.IsZero() {
-		doc.Append(xmldom.Elem(ns, "TerminationTime", xsdt.FormatDateTime(sn.Expires)))
-	}
-	if st.canon.TopicExpr != "" {
-		doc.Append(xmldom.Elem(ns, "TopicExpression", st.canon.TopicExpr))
-	}
-	status := "Active"
-	if sn.Paused {
-		status = "Paused"
-	}
-	doc.Append(xmldom.Elem(ns, "Status", status))
-	return doc, nil
-}
-
-func (r *brokerSubResource) SetTerminationTime(t time.Time) (time.Time, error) {
-	return r.b.renewSubscription(r.id, t)
-}
-
-func (r *brokerSubResource) Destroy() error {
-	return r.b.cancelSubscription(r.id)
 }

@@ -102,8 +102,6 @@ func (b *Broker) handleFetchNewer(env *soap.Envelope, body *xmldom.Element) (*so
 		}
 	}
 
-	out := soap.New(env.Version)
-	b.applyReply(out, env, wsa.V200508, WSMNS+"/FetchNewerResponse")
 	resp := xmldom.NewElement(xmldom.N(WSMNS, "FetchNewerResponse"))
 	for _, e := range entries {
 		resp.Append(b.renderLogEntry(e))
@@ -115,8 +113,7 @@ func (b *Broker) handleFetchNewer(env *soap.Envelope, body *xmldom.Element) (*so
 		// "missed events", exactly like a pull point's drop counter.
 		resp.Append(xmldom.Elem(WSMNS, "Gap", strconv.FormatUint(gap, 10)))
 	}
-	out.AddBody(resp)
-	return out, nil
+	return wsa.Reply(wsa.V200508, WSMNS+"/FetchNewerResponse", env, resp, b.nextMessageID), nil
 }
 
 // entryOrigin resolves which broker an entry originated at: its recorded

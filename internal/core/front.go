@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"time"
 
-	"repro/internal/filter"
 	"repro/internal/mediation"
 	"repro/internal/obs"
 	"repro/internal/soap"
@@ -161,15 +159,7 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 		if d.Family == mediation.FamilyWSE {
 			return nil, wse.FaultFilteringNotSupported(d.WSE, err.Error())
 		}
-		// WS-BaseNotification distinguishes topic faults from filter
-		// faults: an unsupported topic-expression dialect is
-		// TopicNotSupportedFault, while an uncompilable expression in a
-		// supported dialect is InvalidFilterFault.
-		var ude *filter.UnknownDialectError
-		if errors.As(err, &ude) && canon.TopicExpr != "" && ude.Dialect == canon.TopicDialect {
-			return nil, wsnt.FaultTopicNotSupported(d.WSN, canon.TopicExpr)
-		}
-		return nil, wsnt.FaultInvalidFilter(d.WSN, err.Error())
+		return nil, wsnt.FaultFilter(d.WSN, err, canon.TopicExpr, canon.TopicDialect)
 	}
 	expires, err := b.grantExpiry(canon.Expires, d)
 	if err != nil {
@@ -181,10 +171,7 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 	// Only restoring a snapshot identity can fail; a fresh lease cannot.
 	id, _ := b.newSubscription(&subState{canon: canon, flt: flt}, sublease.Snapshot{Expires: expires})
 
-	expText := ""
-	if !expires.IsZero() {
-		expText = xsdt.FormatDateTime(expires)
-	}
+	expText := wse.FormatExpires(expires)
 	var resp *xmldom.Element
 	var wv wsa.Version
 	if d.Family == mediation.FamilyWSE {
@@ -195,18 +182,7 @@ func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap
 		resp = (&wsnt.SubscribeResponse{SubscriptionReference: wsa.NewEPR(wv, b.cfg.ManagerAddress), ID: id,
 			CurrentTime: xsdt.FormatDateTime(b.cfg.Clock()), TerminationTime: expText}).Element(d.WSN)
 	}
-	out := soap.New(env.Version)
-	b.applyReply(out, env, wv, resp.Name.Space+"/"+resp.Name.Local)
-	out.AddBody(resp)
-	return out, nil
-}
-
-func (b *Broker) applyReply(out, in *soap.Envelope, wv wsa.Version, action string) {
-	h := &wsa.MessageHeaders{Version: wv, Action: action, MessageID: b.nextMessageID()}
-	if ih, ok := wsa.ParseHeaders(in); ok {
-		h.RelatesTo = ih.MessageID
-	}
-	h.Apply(out)
+	return wsa.Reply(wv, resp.Name.Space+"/"+resp.Name.Local, env, resp, b.nextMessageID), nil
 }
 
 func (b *Broker) handleGetCurrentMessage(env *soap.Envelope, d mediation.Dialect) (*soap.Envelope, error) {

@@ -163,6 +163,63 @@ func wsnParityDoors(t *testing.T, v wsnt.Version) (broker, standalone parityDoor
 	return broker, standalone
 }
 
+// TestWSRFSubscriptionResourceParity: a WSN 1.0 subscription is the same
+// WS-Resource at the broker and at a standalone producer — the same
+// property document, and a SetTerminationTime that the server's MaxExpiry
+// clamps exactly as a native Renew is clamped.
+func TestWSRFSubscriptionResourceParity(t *testing.T) {
+	clock := parityClock()
+	now := clock()
+	blb := transport.NewLoopback()
+	b, err := New(Config{Address: "svc://wsm", ManagerAddress: "svc://wsm-subs", Client: blb, Clock: clock,
+		SyncDelivery: true, MaxExpiry: 2 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blb.Register("svc://wsm", b.FrontHandler())
+	blb.Register("svc://wsm-subs", b.ManagerHandler())
+	plb := transport.NewLoopback()
+	p := wsnt.NewProducer(wsnt.ProducerConfig{Version: wsnt.V1_0, Address: "svc://prod",
+		ManagerAddress: "svc://prod-mgr", Client: plb, Clock: clock, MaxExpiry: 2 * time.Hour})
+	plb.Register("svc://prod", p.ProducerHandler())
+	plb.Register("svc://prod-mgr", p.ManagerHandler())
+
+	var docs []string
+	for _, door := range []struct {
+		lb   *transport.Loopback
+		addr string
+	}{{blb, "svc://wsm"}, {plb, "svc://prod"}} {
+		sub := &wsnt.Subscriber{Client: door.lb, Version: wsnt.V1_0}
+		h, err := sub.Subscribe(context.Background(), door.addr, &wsnt.SubscribeRequest{
+			ConsumerReference: wsa.NewEPR(wsa.V200303, "svc://consumer"),
+			TopicExpression:   "t:jobs", TopicDialect: topics.DialectConcrete, TopicNS: map[string]string{"t": "urn:grid"},
+			InitialTerminationTime: xsdt.FormatDateTime(now.Add(time.Hour)),
+		})
+		if err != nil {
+			t.Fatalf("subscribe at %s: %v", door.addr, err)
+		}
+		granted, err := sub.Renew(context.Background(), h, xsdt.FormatDateTime(now.Add(5*time.Hour)))
+		if err != nil || !granted.Equal(now.Add(2*time.Hour)) {
+			t.Errorf("%s: SetTerminationTime granted %v (%v), want the 2h MaxExpiry", door.addr, granted, err)
+		}
+		doc, err := sub.Status(context.Background(), h)
+		if err != nil {
+			t.Fatalf("%s: %v", door.addr, err)
+		}
+		var kids []string
+		for _, c := range doc.ChildElements() {
+			kids = append(kids, c.Name.Local+"="+strings.TrimSpace(c.Text()))
+		}
+		docs = append(docs, strings.Join(kids, " "))
+	}
+	if docs[0] != docs[1] {
+		t.Errorf("property documents differ:\n  broker     %s\n  standalone %s", docs[0], docs[1])
+	}
+	if !strings.Contains(docs[0], "ConsumerReference=svc://consumer") {
+		t.Errorf("broker document lacks ConsumerReference: %s", docs[0])
+	}
+}
+
 // parityCase is one request phrased for one version: which subscription it
 // names (a fresh known one, an unknown one, or none) and its body.
 type parityCase struct {

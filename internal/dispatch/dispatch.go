@@ -1,7 +1,7 @@
 // Package dispatch is the shared fan-out engine behind every notification
 // stack in this repository: the WS-Messenger broker (internal/core), the
-// CORBA Event and Notification channels, the JMS provider's topics and the
-// OGSI notification sources.
+// standalone WS-Eventing, WS-Notification and WS-EventNotification
+// endpoints, the CORBA channels, the JMS topics and the OGSI sources.
 //
 // The paper's observation that one broker can serve every specification
 // family at once (§VII) holds because the registry/fan-out machinery under

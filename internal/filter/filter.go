@@ -120,6 +120,17 @@ func (a All) Describe() string {
 	return strings.Join(parts, " AND ")
 }
 
+// TopicExpression is the expression of the chain's topic filter, nil when
+// the chain has none — what a topic index keys on and topic demand checks.
+func (a All) TopicExpression() *topics.Expression {
+	for _, f := range a {
+		if tf, ok := f.(Topic); ok {
+			return tf.Expr
+		}
+	}
+	return nil
+}
+
 // AcceptAll is the filter of an unfiltered subscription.
 var AcceptAll = All(nil)
 

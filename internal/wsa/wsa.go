@@ -347,3 +347,17 @@ func DestinationEPR(epr *EndpointReference, action, messageID string) *MessageHe
 	}
 	return h
 }
+
+// Reply wraps body as the response to req: version v's headers with the
+// response action, a message id from nextID and RelatesTo naming req's
+// MessageID when it has one.
+func Reply(v Version, action string, req *soap.Envelope, body *xmldom.Element, nextID func() string) *soap.Envelope {
+	h := &MessageHeaders{Version: v, Action: action, MessageID: nextID()}
+	if in, ok := ParseHeaders(req); ok {
+		h.RelatesTo = in.MessageID
+	}
+	out := soap.New(req.Version)
+	h.Apply(out)
+	out.AddBody(body)
+	return out
+}

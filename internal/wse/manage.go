@@ -48,7 +48,7 @@ func HandleManagement(v Version, m Manager, env *soap.Envelope, id string, nextI
 		if err != nil {
 			return nil, unknown()
 		}
-		resp = xmldom.Elem(ns, "RenewResponse", xmldom.Elem(ns, "Expires", expiryText(granted)))
+		resp = xmldom.Elem(ns, "RenewResponse", xmldom.Elem(ns, "Expires", FormatExpires(granted)))
 	case xmldom.N(ns, "GetStatus"):
 		if !v.SupportsGetStatus() {
 			return nil, FaultInvalidMessage(v, "GetStatus is not defined in "+v.String())
@@ -57,7 +57,7 @@ func HandleManagement(v Version, m Manager, env *soap.Envelope, id string, nextI
 		if err != nil {
 			return nil, unknown()
 		}
-		resp = xmldom.Elem(ns, "GetStatusResponse", xmldom.Elem(ns, "Expires", expiryText(expires)))
+		resp = xmldom.Elem(ns, "GetStatusResponse", xmldom.Elem(ns, "Expires", FormatExpires(expires)))
 	case xmldom.N(ns, "Unsubscribe"):
 		if err := m.Unsubscribe(id); err != nil {
 			return nil, unknown()
@@ -94,12 +94,5 @@ func HandleManagement(v Version, m Manager, env *soap.Envelope, id string, nextI
 // reply wraps a response body for req, its action named after the body
 // element as every WS-Eventing response action is.
 func reply(v Version, req *soap.Envelope, body *xmldom.Element, nextID func() string) *soap.Envelope {
-	h := &wsa.MessageHeaders{Version: v.WSAVersion(), Action: v.action(body.Name.Local), MessageID: nextID()}
-	if in, ok := wsa.ParseHeaders(req); ok {
-		h.RelatesTo = in.MessageID
-	}
-	out := soap.New(req.Version)
-	h.Apply(out)
-	out.AddBody(body)
-	return out
+	return wsa.Reply(v.WSAVersion(), v.action(body.Name.Local), req, body, nextID)
 }

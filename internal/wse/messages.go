@@ -328,6 +328,15 @@ func ResolveExpires(raw string, now time.Time) (time.Time, error) {
 	return xsdt.ParseDateTime(raw)
 }
 
+// FormatExpires renders a granted expiration: an xsd:dateTime, or empty
+// for an indefinite subscription.
+func FormatExpires(t time.Time) string {
+	if t.IsZero() {
+		return ""
+	}
+	return xsdt.FormatDateTime(t)
+}
+
 // FaultUnsupportedExpirationType et al. are the WS-Eventing fault builders.
 func FaultUnsupportedExpirationType(v Version) *soap.Fault {
 	f := soap.Faultf(soap.FaultSender, "the expiration time requested is not supported")

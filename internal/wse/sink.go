@@ -2,7 +2,6 @@ package wse
 
 import (
 	"context"
-	"strings"
 	"sync"
 
 	"repro/internal/soap"
@@ -67,7 +66,7 @@ func (k *Sink) ServeSOAP(_ context.Context, env *soap.Envelope) (*soap.Envelope,
 		action = h.Action
 		for _, e := range h.Echoed {
 			if e.Name == TopicHeaderName {
-				topic = parseTopicHeader(strings.TrimSpace(e.Text()))
+				topic, _ = topics.ParseClark(e.Text())
 			}
 		}
 	}
@@ -93,23 +92,6 @@ func (k *Sink) ServeSOAP(_ context.Context, env *soap.Envelope) (*soap.Envelope,
 	}
 	deliver(body, false)
 	return nil, nil
-}
-
-// parseTopicHeader reads the Clark-rooted form Path.String produces.
-func parseTopicHeader(s string) topics.Path {
-	if s == "" {
-		return topics.Path{}
-	}
-	ns := ""
-	if strings.HasPrefix(s, "{") {
-		if i := strings.Index(s, "}"); i > 0 {
-			ns, s = s[1:i], s[i+1:]
-		}
-	}
-	if s == "" {
-		return topics.Path{}
-	}
-	return topics.Path{Namespace: ns, Segments: strings.Split(s, "/")}
 }
 
 // Received returns a snapshot of everything delivered so far.

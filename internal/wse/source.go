@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dispatch"
 	"repro/internal/filter"
 	"repro/internal/soap"
 	"repro/internal/sublease"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/wsa"
 	"repro/internal/xmldom"
-	"repro/internal/xsdt"
 )
 
 // SourceConfig configures an event source.
@@ -41,10 +41,6 @@ type SourceConfig struct {
 	// PullQueueCap bounds each pull-mode queue (default 1024); the oldest
 	// notification is dropped on overflow.
 	PullQueueCap int
-	// FailureLimit is the number of consecutive delivery failures after
-	// which the source abandons a subscription with a DeliveryFailure end
-	// notice (default 3).
-	FailureLimit int
 	// NotificationAction is the default WS-Addressing action on
 	// notification messages.
 	NotificationAction string
@@ -64,9 +60,6 @@ func (c *SourceConfig) withDefaults() SourceConfig {
 	if out.PullQueueCap <= 0 {
 		out.PullQueueCap = 1024
 	}
-	if out.FailureLimit <= 0 {
-		out.FailureLimit = 3
-	}
 	if out.NotificationAction == "" {
 		out.NotificationAction = out.Version.NS() + "/Notification"
 	}
@@ -79,19 +72,16 @@ type subscription struct {
 	endTo    *wsa.EndpointReference
 	mode     string
 	flt      filter.Filter
-
-	mu       sync.Mutex
-	queue    []*xmldom.Element // pull mode
-	dropped  int
-	wrapBuf  []*xmldom.Element // wrapped mode
-	failures int
 }
 
 // Source is a WS-Eventing event source (and, for 1/2004 or shared-address
-// deployments, its own subscription manager).
+// deployments, its own subscription manager). Leases live in the store;
+// delivery — push, the pull queues and the wrapped batches — runs through
+// the shared dispatch engine.
 type Source struct {
 	cfg   SourceConfig
 	store *sublease.Store
+	eng   *dispatch.Engine
 	msgID uint64
 	mu    sync.Mutex // guards msgID
 }
@@ -99,6 +89,7 @@ type Source struct {
 // NewSource builds an event source.
 func NewSource(cfg SourceConfig) *Source {
 	s := &Source{cfg: cfg.withDefaults()}
+	s.eng = dispatch.New(dispatch.Config{Clock: s.cfg.Clock})
 	s.store = sublease.NewStore(
 		sublease.WithClock(s.cfg.Clock),
 		sublease.WithIDPrefix("wse"),
@@ -107,20 +98,11 @@ func NewSource(cfg SourceConfig) *Source {
 	return s
 }
 
-// Version returns the spec version the source speaks.
-func (s *Source) Version() Version { return s.cfg.Version }
-
-// Address returns the event source endpoint address.
-func (s *Source) Address() string { return s.cfg.Address }
-
 // ManagerAddress returns the subscription manager endpoint address.
 func (s *Source) ManagerAddress() string { return s.cfg.ManagerAddress }
 
 // SubscriptionCount reports the number of live subscriptions.
 func (s *Source) SubscriptionCount() int { return len(s.store.Active()) }
-
-// Store exposes the lease store for scavenging loops.
-func (s *Source) Store() *sublease.Store { return s.store }
 
 func (s *Source) nextMessageID() string {
 	s.mu.Lock()
@@ -197,20 +179,14 @@ func (s *Source) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 
 	sub := &subscription{notifyTo: req.NotifyTo, endTo: req.EndTo, mode: req.Mode, flt: flt}
 	lease := s.store.Create(sub, expires)
+	s.attach(lease.ID, sub, expires)
 
 	resp := &SubscribeResponse{
 		Manager: wsa.NewEPR(v.WSAVersion(), s.cfg.ManagerAddress),
 		ID:      lease.ID,
-		Expires: expiryText(expires),
+		Expires: FormatExpires(expires),
 	}
 	return reply(v, env, resp.Element(v), s.nextMessageID), nil
-}
-
-func expiryText(t time.Time) string {
-	if t.IsZero() {
-		return ""
-	}
-	return xsdt.FormatDateTime(t)
 }
 
 // subscriptionID recovers which subscription a management request
@@ -228,14 +204,18 @@ func (s *Source) subscriptionID(env *soap.Envelope) string {
 	return strings.TrimSpace(el.Text())
 }
 
-// sourceState is the Source's lease store and pull queues as
-// HandleManagement sees them.
+// sourceState is the Source's lease store and dispatch engine as
+// HandleManagement sees them. Every change reaches both.
 type sourceState struct{ *Source }
 
 func (s sourceState) Now() time.Time { return s.cfg.Clock() }
 
 func (s sourceState) Renew(id string, requested time.Time) (time.Time, error) {
-	return s.store.Renew(id, sublease.Grant(requested, s.cfg.Clock(), s.cfg.DefaultExpiry, s.cfg.MaxExpiry))
+	granted, err := s.store.Renew(id, sublease.Grant(requested, s.cfg.Clock(), s.cfg.DefaultExpiry, s.cfg.MaxExpiry))
+	if err == nil {
+		s.eng.SetDeadline(id, granted)
+	}
+	return granted, err
 }
 
 func (s sourceState) Expires(id string) (time.Time, error) {
@@ -243,36 +223,19 @@ func (s sourceState) Expires(id string) (time.Time, error) {
 	return sn.Expires, err
 }
 
-func (s sourceState) Unsubscribe(id string) error { return s.store.Cancel(id, sublease.EndCancelled) }
+func (s sourceState) Unsubscribe(id string) error {
+	err := s.store.Cancel(id, sublease.EndCancelled)
+	s.eng.Unsubscribe(id)
+	return err
+}
 
 func (s sourceState) Pull(id string, max int) ([]*xmldom.Element, error) {
-	sn, err := s.store.Get(id)
-	if err != nil {
-		return nil, err
+	batch, err := s.eng.Pull(id, max)
+	msgs := make([]*xmldom.Element, len(batch))
+	for i, m := range batch {
+		msgs[i] = m.Payload.(*publication).msg.Payload
 	}
-	return sn.Data.(*subscription).drain(max), nil
-}
-
-func (sub *subscription) drain(max int) []*xmldom.Element {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	n := len(sub.queue)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := sub.queue[:n:n]
-	sub.queue = append([]*xmldom.Element(nil), sub.queue[n:]...)
-	return out
-}
-
-func (sub *subscription) enqueue(msg *xmldom.Element, cap int) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if len(sub.queue) >= cap {
-		sub.queue = sub.queue[1:]
-		sub.dropped++
-	}
-	sub.queue = append(sub.queue, msg)
+	return msgs, err
 }
 
 // PublishOptions modifies one Publish call.
@@ -289,86 +252,84 @@ type PublishOptions struct {
 // notifications.
 var TopicHeaderName = xmldom.N("urn:ws-messenger:extensions", "Topic")
 
-// Publish delivers a notification payload to every matching subscription
-// and returns the number of deliveries attempted (push sends, pull
-// enqueues, wrap buffer appends).
-func (s *Source) Publish(ctx context.Context, payload *xmldom.Element, opts PublishOptions) (int, error) {
+// publication is one Publish call as the dispatch engine carries it: the
+// message the filters see, how its pushes are addressed, and where the
+// first failed send is recorded for Publish to return.
+type publication struct {
+	ctx    context.Context
+	msg    filter.Message
+	action string
+	err    *error
+}
+
+func (pub *publication) report(err error) error {
+	if err != nil && *pub.err == nil {
+		*pub.err = err
+	}
+	return err
+}
+
+// keep copies a publication, payload included, for a pull queue or a
+// wrapped batch to hold past the Publish call.
+func keep(m dispatch.Message) dispatch.Message {
+	c := *m.Payload.(*publication)
+	c.msg.Payload = c.msg.Payload.Clone()
+	return dispatch.Message{Payload: &c}
+}
+
+// attach registers a subscription with the dispatch engine. Pull buffers
+// at the engine, dropping the oldest past PullQueueCap; push and wrapped
+// send inline on the publishing goroutine, one notification or
+// WrapBatchSize of them per send. The engine evicts a subscription after
+// three consecutive failed sends, and it ends with a DeliveryFailure notice.
+func (s *Source) attach(id string, sub *subscription, expires time.Time) {
 	v := s.cfg.Version
+	ds := dispatch.Sub{
+		ID: id,
+		Filter: func(m dispatch.Message) (bool, error) {
+			return sub.flt.Accepts(m.Payload.(*publication).msg)
+		},
+		Prepare:  keep,
+		OnEvict:  func(id string) { s.store.Cancel(id, sublease.EndDeliveryFailure) },
+		Deadline: expires,
+	}
+	size := 1
+	switch sub.mode {
+	case v.DeliveryModePull():
+		ds.Mode, ds.QueueCap, ds.Overflow = dispatch.Pull, s.cfg.PullQueueCap, dispatch.DropOldest
+	case v.DeliveryModeWrap():
+		size = s.cfg.WrapBatchSize
+	}
+	ds.Batch = size
+	ds.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
+		return s.deliver(ctx, sub, batch, size)
+	}
+	_ = s.eng.Subscribe(ds)
+}
+
+// Publish delivers a notification payload to every matching subscription
+// and returns the number of subscriptions that matched (push sends, pull
+// enqueues, wrap buffer appends) and the first failed send.
+func (s *Source) Publish(ctx context.Context, payload *xmldom.Element, opts PublishOptions) (int, error) {
 	action := opts.Action
 	if action == "" {
 		action = s.cfg.NotificationAction
 	}
-	msg := filter.Message{Topic: opts.Topic, Payload: payload}
-	var firstErr error
-	delivered := 0
-	for _, sn := range s.store.Deliverable() {
-		sub := sn.Data.(*subscription)
-		ok, err := sub.flt.Accepts(msg)
-		if err != nil || !ok {
-			continue
-		}
-		delivered++
-		switch sub.mode {
-		case v.DeliveryModePull():
-			sub.enqueue(payload.Clone(), s.cfg.PullQueueCap)
-		case v.DeliveryModeWrap():
-			s.bufferWrapped(ctx, sn.ID, sub, payload, action, opts.Topic)
-		default: // push
-			if err := s.push(ctx, sn.ID, sub, payload.Clone(), action, opts.Topic); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return delivered, firstErr
+	var err error
+	pub := &publication{ctx: ctx, msg: filter.Message{Topic: opts.Topic, Payload: payload}, action: action, err: &err}
+	return s.eng.Dispatch(dispatch.Message{Topic: opts.Topic, Payload: pub}), err
 }
 
-func (s *Source) notificationEnvelope(sub *subscription, body *xmldom.Element, action string, topic topics.Path) *soap.Envelope {
+// push sends body to the subscription's sink, with the topic (if any) in
+// the extension header.
+func (s *Source) push(ctx context.Context, sub *subscription, body *xmldom.Element, action string, topic topics.Path) error {
 	env := soap.New(soap.V11)
-	h := wsa.DestinationEPR(sub.notifyTo, action, s.nextMessageID())
-	h.Apply(env)
+	wsa.DestinationEPR(sub.notifyTo, action, s.nextMessageID()).Apply(env)
 	if !topic.IsZero() {
 		env.AddHeader(xmldom.Elem(TopicHeaderName.Space, TopicHeaderName.Local, topic.String()))
 	}
 	env.AddBody(body)
-	return env
-}
-
-func (s *Source) push(ctx context.Context, id string, sub *subscription, payload *xmldom.Element, action string, topic topics.Path) error {
-	env := s.notificationEnvelope(sub, payload, action, topic)
-	err := s.cfg.Client.Send(ctx, sub.notifyTo.Address, env)
-	s.recordDelivery(ctx, id, sub, err)
-	return err
-}
-
-// recordDelivery implements the consecutive-failure drop policy.
-func (s *Source) recordDelivery(ctx context.Context, id string, sub *subscription, err error) {
-	sub.mu.Lock()
-	if err == nil {
-		sub.failures = 0
-		sub.mu.Unlock()
-		return
-	}
-	sub.failures++
-	drop := sub.failures >= s.cfg.FailureLimit
-	sub.mu.Unlock()
-	if drop {
-		s.store.Cancel(id, sublease.EndDeliveryFailure)
-	}
-}
-
-func (s *Source) bufferWrapped(ctx context.Context, id string, sub *subscription, payload *xmldom.Element, action string, topic topics.Path) {
-	sub.mu.Lock()
-	sub.wrapBuf = append(sub.wrapBuf, payload.Clone())
-	flush := len(sub.wrapBuf) >= s.cfg.WrapBatchSize
-	var batch []*xmldom.Element
-	if flush {
-		batch = sub.wrapBuf
-		sub.wrapBuf = nil
-	}
-	sub.mu.Unlock()
-	if flush {
-		s.deliverWrapped(ctx, id, sub, batch, action, topic)
-	}
+	return s.cfg.Client.Send(ctx, sub.notifyTo.Address, env)
 }
 
 // WrappedName is the batch wrapper element. The 8/2004 spec admits the
@@ -377,27 +338,27 @@ func (s *Source) bufferWrapped(ctx context.Context, id string, sub *subscription
 // substitution.
 var WrappedName = xmldom.N("urn:ws-messenger:extensions", "Notifications")
 
-func (s *Source) deliverWrapped(ctx context.Context, id string, sub *subscription, batch []*xmldom.Element, action string, topic topics.Path) error {
-	wrapper := xmldom.NewElement(WrappedName)
-	for _, m := range batch {
-		wrapper.Append(xmldom.Elem(WrappedName.Space, "Message", m))
+// deliver sends a push notification bare, or a wrapped batch in the
+// wrapper. A full batch leaves from the Publish that filled it, under its
+// context, action and topic, and its send error is that call's; a partial
+// one can only be FlushWrapped's, and goes with the default action.
+func (s *Source) deliver(ctx context.Context, sub *subscription, batch []dispatch.Message, size int) error {
+	body := batch[0].Payload.(*publication).msg.Payload
+	if sub.mode == s.cfg.Version.DeliveryModeWrap() {
+		body = xmldom.NewElement(WrappedName)
+		for _, m := range batch {
+			body.Append(xmldom.Elem(WrappedName.Space, "Message", m.Payload.(*publication).msg.Payload))
+		}
 	}
-	return s.push(ctx, id, sub, wrapper, action, topic)
+	if len(batch) < size {
+		return s.push(ctx, sub, body, s.cfg.NotificationAction, topics.Path{})
+	}
+	pub := batch[len(batch)-1].Payload.(*publication)
+	return pub.report(s.push(pub.ctx, sub, body, pub.action, pub.msg.Topic))
 }
 
 // FlushWrapped forces out every partially filled wrapped-mode batch.
-func (s *Source) FlushWrapped(ctx context.Context) {
-	for _, sn := range s.store.Deliverable() {
-		sub := sn.Data.(*subscription)
-		sub.mu.Lock()
-		batch := sub.wrapBuf
-		sub.wrapBuf = nil
-		sub.mu.Unlock()
-		if len(batch) > 0 {
-			s.deliverWrapped(ctx, sn.ID, sub, batch, s.cfg.NotificationAction, topics.Path{})
-		}
-	}
-}
+func (s *Source) FlushWrapped() { s.eng.FlushBatches() }
 
 // Shutdown terminates every subscription, emitting SubscriptionEnd notices
 // (SourceShuttingDown) to subscribers that supplied EndTo.
@@ -406,10 +367,11 @@ func (s *Source) Shutdown() { s.store.Shutdown() }
 // Scavenge expires lapsed subscriptions, emitting end notices.
 func (s *Source) Scavenge() int { return s.store.Scavenge() }
 
-// onLeaseEnd sends the SubscriptionEnd message. Errors are swallowed: the
-// subscription is already gone and the notice is best-effort, exactly as
-// the spec intends.
+// onLeaseEnd detaches the subscription from the engine and sends the
+// SubscriptionEnd message. Errors are swallowed: the subscription is
+// already gone and the notice is best-effort, exactly as the spec intends.
 func (s *Source) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
+	s.eng.Unsubscribe(sn.ID)
 	sub, ok := sn.Data.(*subscription)
 	if !ok || sub.endTo == nil {
 		return
@@ -431,8 +393,7 @@ func (s *Source) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
 		Reason:  string(reason),
 	}
 	env := soap.New(soap.V11)
-	h := wsa.DestinationEPR(sub.endTo, v.ActionSubscriptionEnd(), s.nextMessageID())
-	h.Apply(env)
+	wsa.DestinationEPR(sub.endTo, v.ActionSubscriptionEnd(), s.nextMessageID()).Apply(env)
 	env.AddBody(end.Element(v))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

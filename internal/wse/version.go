@@ -73,16 +73,10 @@ func (v Version) action(op string) string { return v.NS() + "/" + op }
 func (v Version) ActionSubscribe() string         { return v.action("Subscribe") }
 func (v Version) ActionSubscribeResponse() string { return v.action("SubscribeResponse") }
 func (v Version) ActionRenew() string             { return v.action("Renew") }
-func (v Version) ActionRenewResponse() string     { return v.action("RenewResponse") }
 func (v Version) ActionGetStatus() string         { return v.action("GetStatus") }
-func (v Version) ActionGetStatusResponse() string { return v.action("GetStatusResponse") }
 func (v Version) ActionUnsubscribe() string       { return v.action("Unsubscribe") }
-func (v Version) ActionUnsubscribeResponse() string {
-	return v.action("UnsubscribeResponse")
-}
-func (v Version) ActionSubscriptionEnd() string { return v.action("SubscriptionEnd") }
-func (v Version) ActionPull() string            { return v.action("Pull") }
-func (v Version) ActionPullResponse() string    { return v.action("PullResponse") }
+func (v Version) ActionSubscriptionEnd() string   { return v.action("SubscriptionEnd") }
+func (v Version) ActionPull() string              { return v.action("Pull") }
 
 // Delivery mode URIs. Push is the default in both versions. Pull and Wrap
 // ride the Delivery extension point added in 8/2004; the spec names the

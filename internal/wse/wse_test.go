@@ -337,7 +337,7 @@ func TestWrappedMode(t *testing.T) {
 			t.Error("wrapped delivery not flagged")
 		}
 	}
-	f.source.FlushWrapped(context.Background())
+	f.source.FlushWrapped()
 	if got := f.sink.Count(); got != 7 {
 		t.Errorf("after flush %d, want 7", got)
 	}
@@ -650,5 +650,95 @@ func TestParseSubscribeRejectsForeignBodies(t *testing.T) {
 	// 8/2004 response without a SubscriptionManager errors.
 	if _, _, err := ParseSubscribeResponse(xmldom.NewElement(xmldom.N(NS200408, "SubscribeResponse"))); err == nil {
 		t.Error("managerless response accepted")
+	}
+}
+
+// TestWrappedBatchReportsSendError: the Publish that fills a wrapped batch
+// sends it, so a failed send is that Publish's error.
+func TestWrappedBatchReportsSendError(t *testing.T) {
+	f := newFixture(t, V200408)
+	f.source.cfg.WrapBatchSize = 2
+	f.subscribe(t, &SubscribeRequest{NotifyTo: wsa.NewEPR(wsa.V200408, "svc://dead"), Mode: V200408.DeliveryModeWrap()})
+	if _, err := f.source.Publish(context.Background(), payload("X", "1"), PublishOptions{}); err != nil {
+		t.Errorf("buffering publish: %v", err)
+	}
+	if _, err := f.source.Publish(context.Background(), payload("X", "2"), PublishOptions{}); err == nil {
+		t.Error("the publish that filled the batch did not report its failed send")
+	}
+}
+
+// TestEngineTracksLeases: however a subscription ends — unsubscribe,
+// failure eviction, scavenged expiry, shutdown — the dispatch engine lets
+// go of it together with the lease store, and once nothing is buffered the
+// engine's conservation law holds.
+func TestEngineTracksLeases(t *testing.T) {
+	f := newFixture(t, V200408)
+	f.source.cfg.WrapBatchSize = 2
+	check := func(step string) {
+		t.Helper()
+		if got, want := f.source.eng.Count(), f.source.store.Len(); got != want {
+			t.Errorf("after %s: engine holds %d subscriptions, store %d", step, got, want)
+		}
+	}
+	push := f.subscribe(t, &SubscribeRequest{})
+	f.subscribe(t, &SubscribeRequest{Mode: V200408.DeliveryModePull()})
+	f.subscribe(t, &SubscribeRequest{Mode: V200408.DeliveryModeWrap()})
+	f.subscribe(t, &SubscribeRequest{Expires: "PT5M"})
+	f.subscribe(t, &SubscribeRequest{NotifyTo: wsa.NewEPR(wsa.V200408, "svc://dead")})
+	check("subscribe")
+	if err := f.sub.Unsubscribe(context.Background(), push); err != nil {
+		t.Fatal(err)
+	}
+	check("unsubscribe")
+	for i := 0; i < 3; i++ {
+		f.source.Publish(context.Background(), payload("X", "1"), PublishOptions{})
+	}
+	check("eviction")
+	f.clock.advance(6 * time.Minute)
+	if n := f.source.Scavenge(); n != 1 {
+		t.Fatalf("scavenged %d", n)
+	}
+	check("scavenge")
+	f.source.FlushWrapped()
+	f.source.Shutdown()
+	check("shutdown")
+	if n := f.source.eng.Count(); n != 0 {
+		t.Errorf("engine still holds %d subscriptions", n)
+	}
+	if st := f.source.eng.Stats(); st.Matched != st.Delivered+st.Dropped+st.Failed+st.DeadLettered {
+		t.Errorf("conservation: %+v", st)
+	}
+}
+
+// TestConcurrentPublishAndChurn publishes while other goroutines subscribe
+// and unsubscribe through the handlers; run it under -race.
+func TestConcurrentPublishAndChurn(t *testing.T) {
+	f := newFixture(t, V200408)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 25; j++ {
+				h, err := f.sub.Subscribe(context.Background(), "svc://source",
+					&SubscribeRequest{NotifyTo: wsa.NewEPR(wsa.V200408, "svc://sink")})
+				if err == nil {
+					err = f.sub.Unsubscribe(context.Background(), h)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 25; j++ {
+				f.source.Publish(context.Background(), payload("IBM", "80"), PublishOptions{})
+			}
+		}()
+	}
+	wg.Wait()
+	if f.source.SubscriptionCount() != 0 || f.source.eng.Count() != 0 {
+		t.Errorf("left behind: %d leases, %d engine subscriptions", f.source.SubscriptionCount(), f.source.eng.Count())
 	}
 }

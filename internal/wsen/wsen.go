@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dispatch"
 	"repro/internal/filter"
 	"repro/internal/soap"
 	"repro/internal/spec"
@@ -37,6 +38,8 @@ import (
 	"repro/internal/topics"
 	"repro/internal/transport"
 	"repro/internal/wsa"
+	"repro/internal/wse"
+	"repro/internal/wsnt"
 	"repro/internal/xmldom"
 	"repro/internal/xsdt"
 )
@@ -196,34 +199,16 @@ func ParseSubscribe(body *xmldom.Element) (*SubscribeRequest, error) {
 	return req, nil
 }
 
+// buildFilter compiles the unified Filter element as WS-Notification 1.3
+// does, except that an undialected topic expression is a full one.
 func (r *SubscribeRequest) buildFilter() (filter.All, error) {
-	var fs filter.All
-	if r.TopicExpr != "" {
-		dialect := r.TopicDialect
-		if dialect == "" {
-			dialect = topics.DialectFull
-		}
-		tf, err := filter.NewTopic(dialect, r.TopicExpr, r.TopicNS)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, tf)
+	dialect := r.TopicDialect
+	if dialect == "" {
+		dialect = topics.DialectFull
 	}
-	if r.ContentExpr != "" {
-		cf, err := filter.NewContent(filter.DialectXPath10, r.ContentExpr, r.ContentNS)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, cf)
-	}
-	if r.ProducerPropsExpr != "" {
-		pf, err := filter.NewProducerProperties(filter.DialectXPath10, r.ProducerPropsExpr, r.ProducerPropsNS)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, pf)
-	}
-	return fs, nil
+	return (&wsnt.SubscribeRequest{TopicExpression: r.TopicExpr, TopicDialect: dialect, TopicNS: r.TopicNS,
+		ContentExpr: r.ContentExpr, ContentNS: r.ContentNS,
+		ProducerPropsExpr: r.ProducerPropsExpr, ProducerPropsNS: r.ProducerPropsNS}).BuildFilter(wsnt.V1_3)
 }
 
 // subscription is the lease payload.
@@ -232,10 +217,6 @@ type subscription struct {
 	endTo    *wsa.EndpointReference
 	mode     string
 	flt      filter.All
-
-	mu      sync.Mutex
-	queue   []*xmldom.Element
-	wrapBuf []*NotificationMessage
 }
 
 // NotificationMessage matches WSN's defined wrapped format.
@@ -245,7 +226,8 @@ type NotificationMessage struct {
 }
 
 // Producer is a converged event source / notification producer with its
-// subscription manager.
+// subscription manager. Leases live in the store; delivery runs through the
+// shared dispatch engine.
 type Producer struct {
 	Address        string
 	ManagerAddress string
@@ -255,6 +237,7 @@ type Producer struct {
 	WrapBatchSize  int
 
 	store   *sublease.Store
+	eng     *dispatch.Engine
 	mu      sync.Mutex
 	current map[string]*xmldom.Element
 	msgID   uint64
@@ -272,6 +255,7 @@ func NewProducer(address, managerAddress string, client transport.Client, clock 
 		Address: address, ManagerAddress: managerAddress, Client: client, Clock: clock,
 		WrapBatchSize: 10, current: map[string]*xmldom.Element{},
 	}
+	p.eng = dispatch.New(dispatch.Config{Clock: clock})
 	p.store = sublease.NewStore(
 		sublease.WithClock(clock),
 		sublease.WithIDPrefix("wsen"),
@@ -337,25 +321,13 @@ func (p *Producer) handleSubscribe(env *soap.Envelope, body *xmldom.Element) (*s
 	if err != nil {
 		return nil, fault("FilteringRequestedUnavailable", err.Error())
 	}
-	var expires time.Time
-	if req.Expires != "" {
-		raw := strings.TrimSpace(req.Expires)
-		if xsdt.LooksLikeDuration(raw) {
-			d, derr := xsdt.ParseDuration(raw)
-			if derr != nil {
-				return nil, fault("UnsupportedExpirationType", derr.Error())
-			}
-			expires = d.AddTo(p.Clock())
-		} else {
-			expires, err = xsdt.ParseDateTime(raw)
-			if err != nil {
-				return nil, fault("UnsupportedExpirationType", err.Error())
-			}
-		}
+	expires, err := wse.ResolveExpires(req.Expires, p.Clock())
+	if err != nil {
+		return nil, fault("UnsupportedExpirationType", err.Error())
 	}
-	lease := p.store.Create(&subscription{
-		notifyTo: req.NotifyTo, endTo: req.EndTo, mode: mode, flt: flt,
-	}, expires)
+	sub := &subscription{notifyTo: req.NotifyTo, endTo: req.EndTo, mode: mode, flt: flt}
+	lease := p.store.Create(sub, expires)
+	p.attach(lease.ID, sub, expires)
 
 	mgr := wsa.NewEPR(wsa.V200508, p.ManagerAddress)
 	mgr.AddReferenceParameter(xmldom.Elem(NS, "SubscriptionId", lease.ID))
@@ -381,29 +353,17 @@ func (p *Producer) handleManagement(env *soap.Envelope, body *xmldom.Element) (*
 	out := soap.New(env.Version)
 	switch body.Name.Local {
 	case "Renew":
-		raw := body.ChildText(xmldom.N(NS, "Expires"))
-		var expires time.Time
-		if raw != "" {
-			if xsdt.LooksLikeDuration(raw) {
-				d, err := xsdt.ParseDuration(raw)
-				if err != nil {
-					return nil, fault("UnsupportedExpirationType", err.Error())
-				}
-				expires = d.AddTo(p.Clock())
-			} else {
-				var err error
-				expires, err = xsdt.ParseDateTime(raw)
-				if err != nil {
-					return nil, fault("UnsupportedExpirationType", err.Error())
-				}
-			}
+		expires, err := wse.ResolveExpires(body.ChildText(xmldom.N(NS, "Expires")), p.Clock())
+		if err != nil {
+			return nil, fault("UnsupportedExpirationType", err.Error())
 		}
 		granted, err := p.store.Renew(id, expires)
 		if err != nil {
 			return nil, fault("UnknownSubscription", id)
 		}
+		p.eng.SetDeadline(id, granted)
 		out.AddBody(xmldom.Elem(NS, "RenewResponse",
-			xmldom.Elem(NS, "Expires", expiryText(granted))))
+			xmldom.Elem(NS, "Expires", wse.FormatExpires(granted))))
 		return out, nil
 	case "GetStatus":
 		sn, err := p.store.Get(id)
@@ -415,16 +375,20 @@ func (p *Producer) handleManagement(env *soap.Envelope, body *xmldom.Element) (*
 			status = "Paused"
 		}
 		out.AddBody(xmldom.Elem(NS, "GetStatusResponse",
-			xmldom.Elem(NS, "Expires", expiryText(sn.Expires)),
+			xmldom.Elem(NS, "Expires", wse.FormatExpires(sn.Expires)),
 			xmldom.Elem(NS, "Status", status)))
 		return out, nil
 	case "Unsubscribe":
-		if err := p.store.Cancel(id, sublease.EndCancelled); err != nil {
+		// The store's end observer does not fire on an explicit cancel.
+		err := p.store.Cancel(id, sublease.EndCancelled)
+		p.eng.Unsubscribe(id)
+		if err != nil {
 			return nil, fault("UnknownSubscription", id)
 		}
 		out.AddBody(xmldom.NewElement(xmldom.N(NS, "UnsubscribeResponse")))
 		return out, nil
 	case "PauseSubscription":
+		p.eng.Pause(id)
 		if err := p.store.Pause(id); err != nil {
 			return nil, fault("UnknownSubscription", id)
 		}
@@ -434,41 +398,29 @@ func (p *Producer) handleManagement(env *soap.Envelope, body *xmldom.Element) (*
 		if err := p.store.Resume(id); err != nil {
 			return nil, fault("UnknownSubscription", id)
 		}
+		p.eng.Resume(id)
 		out.AddBody(xmldom.NewElement(xmldom.N(NS, "ResumeSubscriptionResponse")))
 		return out, nil
 	case "Pull":
-		sn, err := p.store.Get(id)
-		if err != nil {
+		if _, err := p.store.Get(id); err != nil {
 			return nil, fault("UnknownSubscription", id)
 		}
-		sub := sn.Data.(*subscription)
-		max := 0
-		if m := body.ChildText(xmldom.N(NS, "MaxElements")); m != "" {
-			max, _ = strconv.Atoi(m)
+		max := 0 // absent: everything buffered
+		if raw := body.ChildText(xmldom.N(NS, "MaxElements")); raw != "" {
+			var err error
+			if max, err = strconv.Atoi(strings.TrimSpace(raw)); err != nil || max < 0 {
+				return nil, fault("InvalidMessage", "MaxElements must be a non-negative integer, got "+strconv.Quote(raw))
+			}
 		}
-		sub.mu.Lock()
-		n := len(sub.queue)
-		if max > 0 && max < n {
-			n = max
-		}
-		batch := sub.queue[:n:n]
-		sub.queue = append([]*xmldom.Element(nil), sub.queue[n:]...)
-		sub.mu.Unlock()
+		batch, _ := p.eng.Pull(id, max)
 		resp := xmldom.NewElement(xmldom.N(NS, "PullResponse"))
-		for _, m := range batch {
-			resp.Append(m)
+		for _, nm := range entries(batch) {
+			resp.Append(notifyElement([]*NotificationMessage{nm}))
 		}
 		out.AddBody(resp)
 		return out, nil
 	}
 	return nil, fault("InvalidMessage", body.Name.Local)
-}
-
-func expiryText(t time.Time) string {
-	if t.IsZero() {
-		return ""
-	}
-	return xsdt.FormatDateTime(t)
 }
 
 func (p *Producer) handleGetCurrentMessage(env *soap.Envelope, body *xmldom.Element) (*soap.Envelope, error) {
@@ -532,71 +484,99 @@ func ParseNotify(body *xmldom.Element) ([]*NotificationMessage, error) {
 	return out, nil
 }
 
-// Publish delivers one event to all matching subscriptions.
+// publication is one Publish call as the dispatch engine carries it: the
+// message the filters see and where the first failed send is recorded for
+// Publish to return.
+type publication struct {
+	ctx context.Context
+	msg filter.Message
+	err *error
+}
+
+func (pub *publication) report(err error) error {
+	if err != nil && *pub.err == nil {
+		*pub.err = err
+	}
+	return err
+}
+
+// entries renders kept publications as entries of the wrapped format.
+func entries(batch []dispatch.Message) []*NotificationMessage {
+	out := make([]*NotificationMessage, len(batch))
+	for i, m := range batch {
+		pub := m.Payload.(*publication)
+		out[i] = &NotificationMessage{Topic: pub.msg.Topic, Payload: pub.msg.Payload}
+	}
+	return out
+}
+
+// keep copies a publication, payload included, for a pull queue or a
+// wrapped batch to hold past the Publish call.
+func keep(m dispatch.Message) dispatch.Message {
+	c := *m.Payload.(*publication)
+	c.msg.Payload = c.msg.Payload.Clone()
+	return dispatch.Message{Payload: &c}
+}
+
+// attach registers a subscription with the dispatch engine, indexed by its
+// topic expression. Pull buffers at the engine; push is a wrapped batch of
+// one. The prototype never abandons a subscription over failed sends.
+func (p *Producer) attach(id string, sub *subscription, expires time.Time) {
+	ds := dispatch.Sub{
+		ID:       id,
+		Selector: dispatch.ForExpression(sub.flt.TopicExpression()),
+		Filter: func(m dispatch.Message) (bool, error) {
+			return sub.flt.Accepts(m.Payload.(*publication).msg)
+		},
+		Prepare:      keep,
+		FailureLimit: -1,
+		Deadline:     expires,
+	}
+	size := 1
+	switch sub.mode {
+	case ModePull:
+		ds.Mode = dispatch.Pull
+	case ModeWrap:
+		size = p.WrapBatchSize
+	}
+	ds.Batch = size
+	ds.DeliverCtx = func(ctx context.Context, batch []dispatch.Message) error {
+		return p.deliver(ctx, sub, batch, size)
+	}
+	_ = p.eng.Subscribe(ds)
+}
+
+// Publish delivers one event to all matching subscriptions. It returns the
+// number of subscriptions that matched and the first failed send.
 func (p *Producer) Publish(ctx context.Context, topic topics.Path, payload *xmldom.Element) (int, error) {
 	if !topic.IsZero() {
 		p.mu.Lock()
 		p.current[topic.String()] = payload.Clone()
 		p.mu.Unlock()
 	}
-	fm := filter.Message{Topic: topic, Payload: payload, ProducerProperties: p.Properties}
-	delivered := 0
-	var firstErr error
-	for _, sn := range p.store.Deliverable() {
-		sub := sn.Data.(*subscription)
-		ok, err := sub.flt.Accepts(fm)
-		if err != nil || !ok {
-			continue
-		}
-		delivered++
-		switch sub.mode {
-		case ModePull:
-			sub.mu.Lock()
-			sub.queue = append(sub.queue, notifyElement([]*NotificationMessage{{Topic: topic, Payload: payload.Clone()}}))
-			sub.mu.Unlock()
-		case ModeWrap:
-			sub.mu.Lock()
-			sub.wrapBuf = append(sub.wrapBuf, &NotificationMessage{Topic: topic, Payload: payload.Clone()})
-			var batch []*NotificationMessage
-			if len(sub.wrapBuf) >= p.WrapBatchSize {
-				batch = sub.wrapBuf
-				sub.wrapBuf = nil
-			}
-			sub.mu.Unlock()
-			if batch != nil {
-				if err := p.send(ctx, sub, notifyElement(batch)); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		default:
-			if err := p.send(ctx, sub, notifyElement([]*NotificationMessage{
-				{Topic: topic, Payload: payload.Clone()},
-			})); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
+	var err error
+	pub := &publication{ctx: ctx, msg: filter.Message{Topic: topic, Payload: payload, ProducerProperties: p.Properties}, err: &err}
+	return p.eng.Dispatch(dispatch.Message{Topic: topic, Payload: pub}), err
+}
+
+// deliver sends one batch in the wrapped format: a full one from the
+// Publish that filled it, under that call's context and as that call's
+// error; a partial one is FlushWrapped's.
+func (p *Producer) deliver(ctx context.Context, sub *subscription, batch []dispatch.Message, size int) error {
+	msgs := entries(batch)
+	if len(batch) < size {
+		return p.send(ctx, sub, notifyElement(msgs))
 	}
-	return delivered, firstErr
+	pub := batch[len(batch)-1].Payload.(*publication)
+	return pub.report(p.send(pub.ctx, sub, notifyElement(msgs)))
 }
 
 // FlushWrapped forces out partial wrapped batches.
-func (p *Producer) FlushWrapped(ctx context.Context) {
-	for _, sn := range p.store.Deliverable() {
-		sub := sn.Data.(*subscription)
-		sub.mu.Lock()
-		batch := sub.wrapBuf
-		sub.wrapBuf = nil
-		sub.mu.Unlock()
-		if len(batch) > 0 {
-			p.send(ctx, sub, notifyElement(batch))
-		}
-	}
-}
+func (p *Producer) FlushWrapped() { p.eng.FlushBatches() }
 
 func (p *Producer) send(ctx context.Context, sub *subscription, body *xmldom.Element) error {
 	env := soap.New(soap.V11)
-	h := wsa.DestinationEPR(sub.notifyTo, NS+"/Notify", p.nextMessageID())
-	h.Apply(env)
+	wsa.DestinationEPR(sub.notifyTo, NS+"/Notify", p.nextMessageID()).Apply(env)
 	env.AddBody(body)
 	return p.Client.Send(ctx, sub.notifyTo.Address, env)
 }
@@ -605,13 +585,13 @@ func (p *Producer) send(ctx context.Context, sub *subscription, body *xmldom.Ele
 func (p *Producer) Shutdown() { p.store.Shutdown() }
 
 func (p *Producer) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
+	p.eng.Unsubscribe(sn.ID)
 	sub, ok := sn.Data.(*subscription)
 	if !ok || sub.endTo == nil {
 		return
 	}
 	env := soap.New(soap.V11)
-	h := wsa.DestinationEPR(sub.endTo, NS+"/SubscriptionEnd", p.nextMessageID())
-	h.Apply(env)
+	wsa.DestinationEPR(sub.endTo, NS+"/SubscriptionEnd", p.nextMessageID()).Apply(env)
 	env.AddBody(xmldom.Elem(NS, "SubscriptionEnd",
 		xmldom.Elem(NS, "SubscriptionId", sn.ID),
 		xmldom.Elem(NS, "Status", string(reason))))

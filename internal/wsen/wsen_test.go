@@ -3,6 +3,7 @@ package wsen
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,6 +142,104 @@ func TestConvergedPullMode(t *testing.T) {
 	}
 }
 
+// TestPullRejectsMalformedMaxElements: a MaxElements that is not a
+// non-negative integer is InvalidMessage and consumes nothing, rather than
+// being read as "everything".
+func TestPullRejectsMalformedMaxElements(t *testing.T) {
+	lb, p, _, sub := fixture(t)
+	ctx := context.Background()
+	h, err := sub.Subscribe(ctx, "svc://conv", &SubscribeRequest{Mode: ModePull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		p.Publish(ctx, grid, ev("q"))
+	}
+	for _, bad := range []string{"abc", "-1", "1.5"} {
+		env := soap.New(soap.V11)
+		wsa.DestinationEPR(h.Manager, NS+"/Pull", "").Apply(env)
+		env.AddBody(xmldom.Elem(NS, "Pull", xmldom.Elem(NS, "MaxElements", bad)))
+		_, err := lb.Call(ctx, h.Manager.Address, env)
+		var fault *soap.Fault
+		if !errors.As(err, &fault) || fault.Subcode.Local != "InvalidMessage" {
+			t.Errorf("MaxElements %q: err = %v, want InvalidMessage", bad, err)
+		}
+	}
+	if msgs, err := sub.Pull(ctx, h, 0); err != nil || len(msgs) != 3 {
+		t.Errorf("after malformed pulls: %d messages, %v; want all 3 still queued", len(msgs), err)
+	}
+}
+
+// TestEngineTracksLeases: an unsubscribed or shut-down subscription leaves
+// the dispatch engine with its lease, and the engine's conservation law
+// holds once nothing is buffered.
+func TestEngineTracksLeases(t *testing.T) {
+	_, p, _, sub := fixture(t)
+	ctx := context.Background()
+	check := func(step string) {
+		t.Helper()
+		if got, want := p.eng.Count(), p.store.Len(); got != want {
+			t.Errorf("after %s: engine holds %d subscriptions, store %d", step, got, want)
+		}
+	}
+	var handles []*Handle
+	for _, req := range []*SubscribeRequest{
+		{NotifyTo: wsa.NewEPR(wsa.V200508, "svc://sink")},
+		{Mode: ModePull},
+		{NotifyTo: wsa.NewEPR(wsa.V200508, "svc://dead")},
+	} {
+		h, err := sub.Subscribe(ctx, "svc://conv", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	check("subscribe")
+	p.Publish(ctx, grid, ev("x"))
+	if err := sub.Unsubscribe(ctx, handles[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("unsubscribe")
+	p.Shutdown()
+	check("shutdown")
+	if st := p.eng.Stats(); p.eng.Count() != 0 || st.Matched != st.Delivered+st.Dropped+st.Failed+st.DeadLettered {
+		t.Errorf("engine: %d subscriptions, %+v", p.eng.Count(), st)
+	}
+}
+
+// TestConcurrentPublishAndChurn publishes while other goroutines subscribe
+// and unsubscribe through the handler; run it under -race.
+func TestConcurrentPublishAndChurn(t *testing.T) {
+	_, p, _, sub := fixture(t)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				h, err := sub.Subscribe(ctx, "svc://conv", &SubscribeRequest{NotifyTo: wsa.NewEPR(wsa.V200508, "svc://sink")})
+				if err == nil {
+					err = sub.Unsubscribe(ctx, h)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				p.Publish(ctx, grid, ev("c"))
+			}
+		}()
+	}
+	wg.Wait()
+	if p.SubscriptionCount() != 0 || p.eng.Count() != 0 {
+		t.Errorf("left behind: %d leases, %d engine subscriptions", p.SubscriptionCount(), p.eng.Count())
+	}
+}
+
 func TestConvergedWrappedBatching(t *testing.T) {
 	_, p, sink, sub := fixture(t)
 	p.WrapBatchSize = 3
@@ -157,7 +256,7 @@ func TestConvergedWrappedBatching(t *testing.T) {
 	if sink.Count() != 6 {
 		t.Fatalf("batched deliveries = %d, want 6", sink.Count())
 	}
-	p.FlushWrapped(ctx)
+	p.FlushWrapped()
 	if sink.Count() != 7 {
 		t.Errorf("after flush = %d", sink.Count())
 	}

@@ -5,11 +5,13 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/soap"
 	"repro/internal/sublease"
 	"repro/internal/topics"
 	"repro/internal/wsa"
 	"repro/internal/wse"
+	"repro/internal/wsrf"
 	"repro/internal/xmldom"
 	"repro/internal/xsdt"
 )
@@ -133,15 +135,63 @@ func HandleGetCurrentMessage(v Version, m Manager, env *soap.Envelope, nextID fu
 	return reply(v, env, xmldom.Elem(ns, "GetCurrentMessageResponse", msg.Clone()), nextID), nil
 }
 
+// FaultFilter is the fault version v answers a Subscribe whose filters
+// failed to compile with: an unsupported topic-expression dialect is
+// TopicNotSupportedFault, while an uncompilable expression or an unknown
+// content dialect is InvalidFilterFault. topicExpr and topicDialect are the
+// request's topic filter.
+func FaultFilter(v Version, err error, topicExpr, topicDialect string) *soap.Fault {
+	var ude *filter.UnknownDialectError
+	if errors.As(err, &ude) && topicExpr != "" && ude.Dialect == topicDialect {
+		return FaultTopicNotSupported(v, topicExpr)
+	}
+	return FaultInvalidFilter(v, err.Error())
+}
+
+// SubscriptionState is a subscription as its WS-Resource properties show
+// it (1.0 reads status through WSRF, Table 2): its lease, its filters and
+// its consumer.
+type SubscriptionState struct {
+	sublease.Snapshot
+	Filter   filter.All
+	Consumer *wsa.EndpointReference
+}
+
+// SubscriptionResource serves st as a WS-Resource managed through m: its
+// property document, SetTerminationTime as a Renew (so m's expiry policy
+// applies) and Destroy as an Unsubscribe.
+func SubscriptionResource(m Manager, st SubscriptionState) wsrf.Resource { return subResource{m, st} }
+
+type subResource struct {
+	m  Manager
+	st SubscriptionState
+}
+
+func (r subResource) PropertyDocument() (*xmldom.Element, error) {
+	doc := xmldom.NewElement(xmldom.N(NS1_0, "SubscriptionProperties"))
+	doc.Append(xmldom.Elem(NS1_0, "CreationTime", xsdt.FormatDateTime(r.st.CreatedAt)))
+	if !r.st.Expires.IsZero() {
+		doc.Append(xmldom.Elem(NS1_0, "TerminationTime", xsdt.FormatDateTime(r.st.Expires)))
+	}
+	if e := r.st.Filter.TopicExpression(); e != nil {
+		doc.Append(xmldom.Elem(NS1_0, "TopicExpression", e.Raw()))
+	}
+	status := "Active"
+	if r.st.Paused {
+		status = "Paused"
+	}
+	doc.Append(xmldom.Elem(NS1_0, "Status", status))
+	if r.st.Consumer != nil {
+		doc.Append(xmldom.Elem(NS1_0, "ConsumerReference", r.st.Consumer.Address))
+	}
+	return doc, nil
+}
+
+func (r subResource) SetTerminationTime(t time.Time) (time.Time, error) { return r.m.Renew(r.st.ID, t) }
+func (r subResource) Destroy() error                                    { return r.m.Unsubscribe(r.st.ID) }
+
 // reply wraps a response body for req, its action named after the body
 // element as every WS-BaseNotification response action is.
 func reply(v Version, req *soap.Envelope, body *xmldom.Element, nextID func() string) *soap.Envelope {
-	h := &wsa.MessageHeaders{Version: v.WSAVersion(), Action: v.action(body.Name.Local), MessageID: nextID()}
-	if in, ok := wsa.ParseHeaders(req); ok {
-		h.RelatesTo = in.MessageID
-	}
-	out := soap.New(req.Version)
-	h.Apply(out)
-	out.AddBody(body)
-	return out
+	return wsa.Reply(v.WSAVersion(), v.action(body.Name.Local), req, body, nextID)
 }

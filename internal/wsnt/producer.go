@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dispatch"
 	"repro/internal/filter"
 	"repro/internal/soap"
 	"repro/internal/sublease"
@@ -44,9 +45,6 @@ type ProducerConfig struct {
 	// are rejected with TopicNotSupportedFault.
 	Topics        *topics.Space
 	FixedTopicSet bool
-	// FailureLimit drops a subscription after this many consecutive
-	// delivery failures (default 3).
-	FailureLimit int
 }
 
 func (c *ProducerConfig) withDefaults() ProducerConfig {
@@ -57,9 +55,6 @@ func (c *ProducerConfig) withDefaults() ProducerConfig {
 	if out.Clock == nil {
 		out.Clock = time.Now
 	}
-	if out.FailureLimit <= 0 {
-		out.FailureLimit = 3
-	}
 	if out.Topics == nil {
 		out.Topics = topics.NewSpace()
 	}
@@ -68,20 +63,18 @@ func (c *ProducerConfig) withDefaults() ProducerConfig {
 
 // subscription is the lease payload.
 type subscription struct {
-	consumer  *wsa.EndpointReference
-	flt       filter.All
-	useRaw    bool
-	topicExpr string
-
-	mu       sync.Mutex
-	failures int
+	consumer *wsa.EndpointReference
+	flt      filter.All
+	useRaw   bool
 }
 
 // Producer is a WS-BaseNotification NotificationProducer plus its
-// subscription manager.
+// subscription manager. Leases live in the store; delivery runs through
+// the shared dispatch engine.
 type Producer struct {
 	cfg     ProducerConfig
 	store   *sublease.Store
+	eng     *dispatch.Engine
 	msgID   uint64
 	mu      sync.Mutex
 	current map[string]*xmldom.Element // last message per concrete topic
@@ -91,36 +84,22 @@ type Producer struct {
 // NewProducer builds a producer.
 func NewProducer(cfg ProducerConfig) *Producer {
 	p := &Producer{cfg: cfg.withDefaults(), current: map[string]*xmldom.Element{}}
+	p.eng = dispatch.New(dispatch.Config{Clock: p.cfg.Clock})
 	p.store = sublease.NewStore(
 		sublease.WithClock(p.cfg.Clock),
 		sublease.WithIDPrefix("wsnt"),
 		sublease.WithEndObserver(p.onLeaseEnd),
 	)
 	p.wsrfSvc = &wsrf.Service{
-		Provider:    wsrfProvider{p},
+		Provider:    producerState{p},
 		Clock:       p.cfg.Clock,
 		IDExtractor: p.subscriptionIDFromEnvelope,
 	}
 	return p
 }
 
-// Version returns the spec version.
-func (p *Producer) Version() Version { return p.cfg.Version }
-
-// Address returns the producer endpoint address.
-func (p *Producer) Address() string { return p.cfg.Address }
-
-// ManagerAddress returns the subscription manager address.
-func (p *Producer) ManagerAddress() string { return p.cfg.ManagerAddress }
-
 // SubscriptionCount reports live subscriptions.
 func (p *Producer) SubscriptionCount() int { return len(p.store.Active()) }
-
-// Store exposes the lease store (scavenger wiring).
-func (p *Producer) Store() *sublease.Store { return p.store }
-
-// TopicSpace returns the producer's topic space.
-func (p *Producer) TopicSpace() *topics.Space { return p.cfg.Topics }
 
 func (p *Producer) nextMessageID() string {
 	p.mu.Lock()
@@ -193,11 +172,11 @@ func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 
 	flt, err := req.BuildFilter(v)
 	if err != nil {
-		return nil, FaultInvalidFilter(v, err.Error())
+		return nil, FaultFilter(v, err, req.TopicExpression, req.TopicDialect)
 	}
 
 	// Topic support check against the advertised topic space.
-	if tf, ok := topicFilter(flt); ok && p.cfg.FixedTopicSet && !p.cfg.Topics.Supports(tf.Expr) {
+	if e := flt.TopicExpression(); e != nil && p.cfg.FixedTopicSet && !p.cfg.Topics.Supports(e) {
 		return nil, FaultTopicNotSupported(v, req.TopicExpression)
 	}
 
@@ -208,13 +187,9 @@ func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 	}
 	expires := sublease.Grant(requested, now, p.cfg.DefaultExpiry, p.cfg.MaxExpiry)
 
-	sub := &subscription{
-		consumer:  req.ConsumerReference,
-		flt:       flt,
-		useRaw:    req.UseRaw,
-		topicExpr: req.TopicExpression,
-	}
+	sub := &subscription{consumer: req.ConsumerReference, flt: flt, useRaw: req.UseRaw}
 	lease := p.store.Create(sub, expires)
+	p.attach(lease.ID, sub, expires)
 
 	resp := &SubscribeResponse{
 		SubscriptionReference: wsa.NewEPR(v.WSAVersion(), p.cfg.ManagerAddress),
@@ -227,19 +202,51 @@ func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
 	return reply(v, env, resp.Element(v), p.nextMessageID), nil
 }
 
-// producerState is the Producer's lease store and current messages as
-// HandleManagement and HandleGetCurrentMessage see them.
+// producerState is the Producer's lease store, dispatch engine and current
+// messages as the management handlers and the WSRF service see them. Every
+// change reaches both store and engine.
 type producerState struct{ *Producer }
 
 func (p producerState) Now() time.Time { return p.cfg.Clock() }
 
 func (p producerState) Renew(id string, requested time.Time) (time.Time, error) {
-	return p.store.Renew(id, sublease.Grant(requested, p.cfg.Clock(), p.cfg.DefaultExpiry, p.cfg.MaxExpiry))
+	granted, err := p.store.Renew(id, sublease.Grant(requested, p.cfg.Clock(), p.cfg.DefaultExpiry, p.cfg.MaxExpiry))
+	if err == nil {
+		p.eng.SetDeadline(id, granted)
+	}
+	return granted, err
 }
 
-func (p producerState) Unsubscribe(id string) error { return p.store.Cancel(id, sublease.EndCancelled) }
-func (p producerState) Pause(id string) error       { return p.store.Pause(id) }
-func (p producerState) Resume(id string) error      { return p.store.Resume(id) }
+func (p producerState) Unsubscribe(id string) error {
+	err := p.store.Cancel(id, sublease.EndCancelled)
+	p.eng.Unsubscribe(id)
+	return err
+}
+
+// Pause quiets the engine first; Resume wakes it only for a lease the store
+// still honours.
+func (p producerState) Pause(id string) error {
+	p.eng.Pause(id)
+	return p.store.Pause(id)
+}
+
+func (p producerState) Resume(id string) error {
+	err := p.store.Resume(id)
+	if err == nil {
+		p.eng.Resume(id)
+	}
+	return err
+}
+
+// Resource serves 1.0 subscriptions as WS-Resources.
+func (p producerState) Resource(id string) (wsrf.Resource, error) {
+	sn, err := p.store.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	sub := sn.Data.(*subscription)
+	return SubscriptionResource(p, SubscriptionState{sn, sub.flt, sub.consumer}), nil
+}
 
 func (p producerState) CurrentMessage(topic topics.Path) *xmldom.Element {
 	p.mu.Lock()
@@ -247,80 +254,71 @@ func (p producerState) CurrentMessage(topic topics.Path) *xmldom.Element {
 	return p.current[topic.String()]
 }
 
+// publication is one PublishBatch call as the dispatch engine carries it.
+// Delivery is inline, so each subscription's filter records its share of
+// the payloads in accepted for its Deliver to send before the next one.
+type publication struct {
+	ctx      context.Context
+	topic    topics.Path
+	payloads []*xmldom.Element
+	props    *xmldom.Element
+	accepted []*xmldom.Element
+	err      error // the first failed send
+}
+
+// accept evaluates flt once per payload, keeping the payloads it passes.
+func (pub *publication) accept(flt filter.All) bool {
+	pub.accepted = pub.accepted[:0]
+	for _, pl := range pub.payloads {
+		if ok, err := flt.Accepts(filter.Message{Topic: pub.topic, Payload: pl, ProducerProperties: pub.props}); err == nil && ok {
+			pub.accepted = append(pub.accepted, pl)
+		}
+	}
+	return len(pub.accepted) > 0
+}
+
+// attach registers a subscription with the dispatch engine, indexed by its
+// topic expression. The engine evicts it after three consecutive failed
+// deliveries, ending its lease with EndDeliveryFailure.
+func (p *Producer) attach(id string, sub *subscription, expires time.Time) {
+	_ = p.eng.Subscribe(dispatch.Sub{
+		ID:       id,
+		Selector: dispatch.ForExpression(sub.flt.TopicExpression()),
+		Filter: func(m dispatch.Message) (bool, error) {
+			return m.Payload.(*publication).accept(sub.flt), nil
+		},
+		Deliver: func(batch []dispatch.Message) error {
+			return p.deliver(id, sub, batch[0].Payload.(*publication))
+		},
+		OnEvict:  func(id string) { p.store.Cancel(id, sublease.EndDeliveryFailure) },
+		Deadline: expires,
+	})
+}
+
 // Publish delivers a payload on a topic to every matching subscription and
 // records it as the topic's current message. It returns the number of
-// deliveries attempted.
+// subscriptions that matched and the first failed send.
 func (p *Producer) Publish(ctx context.Context, topic topics.Path, payload *xmldom.Element) (int, error) {
-	p.setCurrent(topic, payload)
-	msg := filter.Message{Topic: topic, Payload: payload, ProducerProperties: p.cfg.Properties}
-	var firstErr error
-	delivered := 0
-	for _, sn := range p.store.Deliverable() {
-		sub := sn.Data.(*subscription)
-		ok, err := sub.flt.Accepts(msg)
-		if err != nil || !ok {
-			continue
-		}
-		delivered++
-		if err := p.deliver(ctx, sn.ID, sub, topic, payload); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return delivered, firstErr
+	return p.PublishBatch(ctx, topic, []*xmldom.Element{payload})
 }
 
-// setCurrent records payload as topic's current message.
-func (p *Producer) setCurrent(topic topics.Path, payload *xmldom.Element) {
-	if !topic.IsZero() {
-		p.cfg.Topics.Add(topic)
-		p.mu.Lock()
-		p.current[topic.String()] = payload.Clone()
-		p.mu.Unlock()
-	}
-}
-
-// PublishBatch wraps several messages into one Notify per subscriber —
-// the efficiency case for the wrapped mode (§V.3 "Delivery mode").
+// PublishBatch delivers several payloads on one topic, the last becoming
+// its current message: each subscription receives the payloads it accepts
+// in one Notify — the efficiency case for the wrapped mode (§V.3 "Delivery
+// mode") — or, raw, one message each.
 func (p *Producer) PublishBatch(ctx context.Context, topic topics.Path, payloads []*xmldom.Element) (int, error) {
 	if len(payloads) == 0 {
 		return 0, nil
 	}
-	p.setCurrent(topic, payloads[len(payloads)-1])
-	v := p.cfg.Version
-	var firstErr error
-	delivered := 0
-	for _, sn := range p.store.Deliverable() {
-		sub := sn.Data.(*subscription)
-		var accepted []*xmldom.Element
-		for _, pl := range payloads {
-			ok, err := sub.flt.Accepts(filter.Message{Topic: topic, Payload: pl, ProducerProperties: p.cfg.Properties})
-			if err == nil && ok {
-				accepted = append(accepted, pl)
-			}
-		}
-		if len(accepted) == 0 {
-			continue
-		}
-		delivered++
-		var err error
-		if sub.useRaw {
-			for _, pl := range accepted {
-				if e := p.send(ctx, sn.ID, sub, pl.Clone()); e != nil && err == nil {
-					err = e
-				}
-			}
-		} else {
-			msgs := make([]*NotificationMessage, len(accepted))
-			for i, pl := range accepted {
-				msgs[i] = p.notificationMessage(sn.ID, topic, pl)
-			}
-			err = p.send(ctx, sn.ID, sub, NotifyElement(v, msgs))
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if !topic.IsZero() {
+		p.cfg.Topics.Add(topic)
+		p.mu.Lock()
+		p.current[topic.String()] = payloads[len(payloads)-1].Clone()
+		p.mu.Unlock()
 	}
-	return delivered, firstErr
+	pub := &publication{ctx: ctx, topic: topic, payloads: payloads, props: p.cfg.Properties}
+	n := p.eng.Dispatch(dispatch.Message{Topic: topic, Payload: pub})
+	return n, pub.err
 }
 
 func (p *Producer) notificationMessage(subID string, topic topics.Path, payload *xmldom.Element) *NotificationMessage {
@@ -335,36 +333,34 @@ func (p *Producer) notificationMessage(subID string, topic topics.Path, payload 
 	return nm
 }
 
-// deliver sends one message: raw payload or single-entry Notify, per the
-// subscription's policy (§V.3 "Message encapsulation").
-func (p *Producer) deliver(ctx context.Context, subID string, sub *subscription, topic topics.Path, payload *xmldom.Element) error {
+// deliver sends a subscription its share of a publication: raw payloads or
+// one Notify, per the subscription's policy (§V.3 "Message encapsulation").
+func (p *Producer) deliver(subID string, sub *subscription, pub *publication) error {
+	var err error
 	if sub.useRaw {
-		return p.send(ctx, subID, sub, payload.Clone())
+		for _, pl := range pub.accepted {
+			if e := p.send(pub.ctx, sub, pl.Clone()); e != nil && err == nil {
+				err = e
+			}
+		}
+	} else {
+		msgs := make([]*NotificationMessage, len(pub.accepted))
+		for i, pl := range pub.accepted {
+			msgs[i] = p.notificationMessage(subID, pub.topic, pl)
+		}
+		err = p.send(pub.ctx, sub, NotifyElement(p.cfg.Version, msgs))
 	}
-	return p.send(ctx, subID, sub, NotifyElement(p.cfg.Version, []*NotificationMessage{
-		p.notificationMessage(subID, topic, payload),
-	}))
-}
-
-func (p *Producer) send(ctx context.Context, subID string, sub *subscription, body *xmldom.Element) error {
-	env := soap.New(soap.V11)
-	h := wsa.DestinationEPR(sub.consumer, p.cfg.Version.ActionNotify(), p.nextMessageID())
-	h.Apply(env)
-	env.AddBody(body)
-	err := p.cfg.Client.Send(ctx, sub.consumer.Address, env)
-	sub.mu.Lock()
-	if err == nil {
-		sub.failures = 0
-		sub.mu.Unlock()
-		return nil
-	}
-	sub.failures++
-	drop := sub.failures >= p.cfg.FailureLimit
-	sub.mu.Unlock()
-	if drop {
-		p.store.Cancel(subID, sublease.EndDeliveryFailure)
+	if err != nil && pub.err == nil {
+		pub.err = err
 	}
 	return err
+}
+
+func (p *Producer) send(ctx context.Context, sub *subscription, body *xmldom.Element) error {
+	env := soap.New(soap.V11)
+	wsa.DestinationEPR(sub.consumer, p.cfg.Version.ActionNotify(), p.nextMessageID()).Apply(env)
+	env.AddBody(body)
+	return p.cfg.Client.Send(ctx, sub.consumer.Address, env)
 }
 
 // HasTopicDemand reports whether any live, unpaused subscription would
@@ -374,21 +370,11 @@ func (p *Producer) send(ctx context.Context, subID string, sub *subscription, bo
 // broker uses this to drive demand-based publishers (§V.5).
 func (p *Producer) HasTopicDemand(topic topics.Path) bool {
 	for _, sn := range p.store.Deliverable() {
-		if tf, ok := topicFilter(sn.Data.(*subscription).flt); !ok || tf.Expr.Matches(topic) {
+		if e := sn.Data.(*subscription).flt.TopicExpression(); e == nil || e.Matches(topic) {
 			return true
 		}
 	}
 	return false
-}
-
-// topicFilter is the topic filter of a compiled chain, if it has one.
-func topicFilter(flt filter.All) (filter.Topic, bool) {
-	for _, f := range flt {
-		if tf, ok := f.(filter.Topic); ok {
-			return tf, true
-		}
-	}
-	return filter.Topic{}, false
 }
 
 // Shutdown ends all subscriptions (1.0 consumers receive WSRF
@@ -403,6 +389,7 @@ func (p *Producer) Scavenge() int { return p.store.Scavenge() }
 // 1.3 subscriptions end silently, exactly the gap the paper's Table 1
 // lower rows record.
 func (p *Producer) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
+	p.eng.Unsubscribe(sn.ID)
 	if !p.cfg.Version.RequiresWSRF() {
 		return
 	}
@@ -411,62 +398,9 @@ func (p *Producer) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
 		return
 	}
 	env := soap.New(soap.V11)
-	h := wsa.DestinationEPR(sub.consumer, wsrf.ActionTerminationNotice, p.nextMessageID())
-	h.Apply(env)
+	wsa.DestinationEPR(sub.consumer, wsrf.ActionTerminationNotice, p.nextMessageID()).Apply(env)
 	env.AddBody(wsrf.NewTerminationNotification(p.cfg.Clock(), string(reason)))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = p.cfg.Client.Send(ctx, sub.consumer.Address, env)
-}
-
-// --- WSRF resource adapter (1.0 subscriptions are WS-Resources) ---
-
-type wsrfProvider struct{ p *Producer }
-
-func (wp wsrfProvider) Resource(id string) (wsrf.Resource, error) {
-	if _, err := wp.p.store.Get(id); err != nil {
-		return nil, err
-	}
-	return &subResource{p: wp.p, id: id}, nil
-}
-
-type subResource struct {
-	p  *Producer
-	id string
-}
-
-// PropertyDocument renders the subscription's resource properties — what
-// a 1.0 subscriber reads instead of calling GetStatus (Table 2).
-func (r *subResource) PropertyDocument() (*xmldom.Element, error) {
-	sn, err := r.p.store.Get(r.id)
-	if err != nil {
-		return nil, err
-	}
-	sub := sn.Data.(*subscription)
-	ns := r.p.cfg.Version.NS()
-	doc := xmldom.NewElement(xmldom.N(ns, "SubscriptionProperties"))
-	doc.Append(xmldom.Elem(ns, "CreationTime", xsdt.FormatDateTime(sn.CreatedAt)))
-	if !sn.Expires.IsZero() {
-		doc.Append(xmldom.Elem(ns, "TerminationTime", xsdt.FormatDateTime(sn.Expires)))
-	}
-	if sub.topicExpr != "" {
-		doc.Append(xmldom.Elem(ns, "TopicExpression", sub.topicExpr))
-	}
-	status := "Active"
-	if sn.Paused {
-		status = "Paused"
-	}
-	doc.Append(xmldom.Elem(ns, "Status", status))
-	doc.Append(xmldom.Elem(ns, "ConsumerReference", sub.consumer.Address))
-	return doc, nil
-}
-
-// SetTerminationTime implements renew-via-WSRF.
-func (r *subResource) SetTerminationTime(t time.Time) (time.Time, error) {
-	return r.p.store.Renew(r.id, t)
-}
-
-// Destroy implements unsubscribe-via-WSRF.
-func (r *subResource) Destroy() error {
-	return r.p.store.Cancel(r.id, sublease.EndCancelled)
 }

@@ -432,12 +432,13 @@ func TestInvalidFilterFaults(t *testing.T) {
 	if !errors.As(err, &fault) || fault.Subcode.Local != "InvalidFilterFault" {
 		t.Errorf("err = %v", err)
 	}
+	// An unsupported topic dialect is a topic fault, as at the broker.
 	_, err = f.sub.Subscribe(context.Background(), "svc://producer", &SubscribeRequest{
 		ConsumerReference: wsa.NewEPR(wsa.V200508, "svc://consumer"),
 		TopicExpression:   "t:a", TopicDialect: "urn:bogus", TopicNS: tns,
 	})
-	if !errors.As(err, &fault) {
-		t.Errorf("dialect err = %v", err)
+	if !errors.As(err, &fault) || fault.Subcode.Local != "TopicNotSupportedFault" {
+		t.Errorf("dialect err = %v, want TopicNotSupportedFault", err)
 	}
 }
 
@@ -686,6 +687,84 @@ func TestRenewToIndefinite(t *testing.T) {
 	f.clock.advance(100 * time.Hour)
 	if n := f.producer.Scavenge(); n != 0 {
 		t.Error("indefinite subscription scavenged")
+	}
+}
+
+// TestEngineTracksLeases: however a subscription ends — native
+// Unsubscribe (1.3) or WSRF Destroy (1.0), failure eviction, scavenged
+// expiry, shutdown — the dispatch engine lets go of it together with the
+// lease store, and the engine's conservation law holds.
+func TestEngineTracksLeases(t *testing.T) {
+	for _, v := range []Version{V1_0, V1_3} {
+		t.Run(v.String(), func(t *testing.T) {
+			f := newFixture(t, v)
+			check := func(step string) {
+				t.Helper()
+				if got, want := f.producer.eng.Count(), f.producer.store.Len(); got != want {
+					t.Errorf("after %s: engine holds %d subscriptions, store %d", step, got, want)
+				}
+			}
+			h := f.subscribe(t, &SubscribeRequest{})
+			f.subscribe(t, &SubscribeRequest{})
+			f.subscribe(t, &SubscribeRequest{InitialTerminationTime: "2006-02-01T00:05:00Z"})
+			f.subscribe(t, &SubscribeRequest{ConsumerReference: wsa.NewEPR(v.WSAVersion(), "svc://dead")})
+			check("subscribe")
+			if err := f.sub.Unsubscribe(context.Background(), h); err != nil {
+				t.Fatal(err)
+			}
+			check("unsubscribe")
+			for i := 0; i < 3; i++ {
+				f.producer.Publish(context.Background(), jobTopic("jobs"), jobEvent("x"))
+			}
+			check("eviction")
+			f.clock.advance(6 * time.Minute)
+			if n := f.producer.Scavenge(); n != 1 {
+				t.Fatalf("scavenged %d", n)
+			}
+			check("scavenge")
+			f.producer.Shutdown()
+			check("shutdown")
+			if n := f.producer.eng.Count(); n != 0 {
+				t.Errorf("engine still holds %d subscriptions", n)
+			}
+			if st := f.producer.eng.Stats(); st.Matched != st.Delivered+st.Dropped+st.Failed+st.DeadLettered {
+				t.Errorf("conservation: %+v", st)
+			}
+		})
+	}
+}
+
+// TestConcurrentPublishAndChurn publishes while other goroutines subscribe
+// and unsubscribe through the handlers; run it under -race.
+func TestConcurrentPublishAndChurn(t *testing.T) {
+	f := newFixture(t, V1_3)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				h, err := f.sub.Subscribe(context.Background(), "svc://producer", &SubscribeRequest{
+					ConsumerReference: wsa.NewEPR(wsa.V200508, "svc://consumer"),
+				})
+				if err == nil {
+					err = f.sub.Unsubscribe(context.Background(), h)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				f.producer.PublishBatch(context.Background(), jobTopic("jobs"), []*xmldom.Element{jobEvent("a"), jobEvent("b")})
+			}
+		}()
+	}
+	wg.Wait()
+	if f.producer.SubscriptionCount() != 0 || f.producer.eng.Count() != 0 {
+		t.Errorf("left behind: %d leases, %d engine subscriptions", f.producer.SubscriptionCount(), f.producer.eng.Count())
 	}
 }
 
