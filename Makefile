@@ -33,12 +33,13 @@ wsbench-check:
 
 # Non-test line counts of the three packages whose size ROADMAP aim 2
 # tracks as an outcome, plus the three spec packages that own the
-# management vocabulary core no longer carries and now deliver through the
-# shared engine (so lines moved out of core cannot quietly regrow there),
-# each against its ceiling — the count the last change that shrank it
-# left behind. A package past its ceiling fails; a change that shrinks one
-# lowers the number here.
-LOC_CEILINGS = core:3371 dispatch:2071 destwriter:679 wse:1290 wsnt:1813 wsen:796
+# subscribe and management vocabulary core no longer carries and now
+# deliver through the shared engine, and mediation, which lifts either
+# family's subscribe into the broker's canonical one (so lines moved out of
+# core cannot quietly regrow there), each against its ceiling — the count
+# the last change that shrank it left behind. A package past its ceiling
+# fails; a change that shrinks one lowers the number here.
+LOC_CEILINGS = core:3330 dispatch:2071 destwriter:679 wse:1285 wsnt:1811 wsen:796 mediation:987
 loc:
 	@fail=0; for pc in $(LOC_CEILINGS); do p=$${pc%%:*}; max=$${pc##*:}; \
 		n=$$(ls internal/$$p/*.go | grep -v _test | xargs cat | wc -l); \

@@ -67,6 +67,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -228,7 +229,9 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM is how kill, docker stop and systemd end a daemon; it takes
+	// the same snapshot-and-drain path as Ctrl-C.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go broker.Store().Run(ctx, *scavenge)
 	if *mqttListen != "" {
@@ -269,7 +272,9 @@ func main() {
 			}(remote)
 		}
 	}
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		if *stateFile != "" {
 			// Temp file + fsync + atomic rename: a crash mid-save can never
@@ -294,4 +299,7 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("wsmessenger: %v", err)
 	}
+	// ListenAndServe returns as soon as Shutdown closes the listeners; wait
+	// for the in-flight requests to drain.
+	<-drained
 }

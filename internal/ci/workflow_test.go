@@ -264,8 +264,9 @@ func TestWsbenchCheckTargetPinned(t *testing.T) {
 // `make loc` must carry a ceiling for each tracked package and fail past
 // it, and the packages must be within their ceilings right now — so plain
 // `go test ./...` catches growth even where nobody runs make. The spec
-// packages are tracked because they own the management vocabulary core
-// delegates to them and sit on the shared dispatch engine.
+// packages are tracked because they own the subscribe and management
+// vocabulary core delegates to them and sit on the shared dispatch engine;
+// mediation because it maps either family's subscribe onto the broker's.
 func TestLocCeilingsPinned(t *testing.T) {
 	root := repoRoot(t)
 	raw, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -289,7 +290,7 @@ func TestLocCeilingsPinned(t *testing.T) {
 		}
 		ceilings[name] = n
 	}
-	for _, pkg := range []string{"core", "dispatch", "destwriter", "wse", "wsnt", "wsen"} {
+	for _, pkg := range []string{"core", "dispatch", "destwriter", "wse", "wsnt", "wsen", "mediation"} {
 		max, ok := ceilings[pkg]
 		if !ok {
 			t.Errorf("LOC_CEILINGS lacks internal/%s", pkg)

@@ -66,8 +66,6 @@ type Config struct {
 	// DefaultExpiry / MaxExpiry govern granted subscription lifetimes.
 	DefaultExpiry time.Duration
 	MaxExpiry     time.Duration
-	// Properties is the broker's producer-properties document.
-	Properties *xmldom.Element
 	// SyncDelivery delivers inline on the publisher's call instead of
 	// through per-subscriber queues — deterministic for tests, and the
 	// baseline arm of the delivery-pipeline ablation bench.
@@ -228,13 +226,11 @@ type subState struct {
 	persistent bool
 }
 
-// accepts runs the subscription's full filter chain over one message.
+// accepts runs the subscription's full filter chain over one message. The
+// broker publishes no producer-properties document, so a
+// ProducerProperties filter sees none.
 func (b *Broker) accepts(st *subState, m dispatch.Message) (bool, error) {
-	return st.flt.Accepts(filter.Message{
-		Topic:              m.Topic,
-		Payload:            m.Payload.(fanMsg).payload,
-		ProducerProperties: b.cfg.Properties,
-	})
+	return st.flt.Accepts(filter.Message{Topic: m.Topic, Payload: m.Payload.(fanMsg).payload, ProducerProperties: nil})
 }
 
 // Broker is the WS-Messenger broker.
@@ -707,9 +703,10 @@ func (b *Broker) subscribeCE(st *subState) (id string, expires time.Time, err er
 	if st.flt, err = st.canon.BuildFilter(); err != nil {
 		return "", expires, err
 	}
-	if expires, err = b.grantExpiry(st.canon.Expires, st.canon.Origin); err != nil {
+	if expires, err = wse.ResolveExpires(st.canon.Expires, b.cfg.Clock()); err != nil {
 		return "", expires, err
 	}
+	expires = b.grant(expires)
 	id, err = b.newSubscription(st, sublease.Snapshot{Expires: expires})
 	return id, expires, err
 }
@@ -842,20 +839,10 @@ func (b *Broker) resumeSubscription(id string) error {
 	return err
 }
 
-// grantExpiry resolves a raw expiration per the origin dialect's rules
-// (WSN's where the subscriber spoke WSN, WSE's everywhere else) and grants
-// it under the broker's default and maximum.
-func (b *Broker) grantExpiry(raw string, origin mediation.Dialect) (time.Time, error) {
-	now := b.cfg.Clock()
-	resolve := wse.ResolveExpires
-	if origin.Family == mediation.FamilyWSN {
-		resolve = origin.WSN.ResolveTerminationTime
-	}
-	t, err := resolve(raw, now)
-	if err != nil {
-		return time.Time{}, err
-	}
-	return sublease.Grant(t, now, b.cfg.DefaultExpiry, b.cfg.MaxExpiry), nil
+// grant settles a requested expiry (zero: none requested) under the
+// broker's default and maximum.
+func (b *Broker) grant(requested time.Time) time.Time {
+	return sublease.Grant(requested, b.cfg.Clock(), b.cfg.DefaultExpiry, b.cfg.MaxExpiry)
 }
 
 // onLeaseEnd mediates the end-of-subscription notice into the
@@ -930,7 +917,7 @@ func (br brokerResources) Resource(id string) (wsrf.Resource, error) {
 		return nil, err
 	}
 	st := sn.Data.(*subState)
-	return wsnt.SubscriptionResource(brokerState{br.b}, wsnt.SubscriptionState{Snapshot: sn, Filter: st.flt, Consumer: st.canon.Consumer}), nil
+	return wsnt.SubscriptionResource(wsnState{brokerState{br.b}}, wsnt.SubscriptionState{Snapshot: sn, Filter: st.flt, Consumer: st.canon.Consumer}), nil
 }
 
 // brokerSelfResource exposes broker-level resource properties.

@@ -5,18 +5,17 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/mediation"
 	"repro/internal/obs"
 	"repro/internal/soap"
 	"repro/internal/sublease"
 	"repro/internal/topics"
 	"repro/internal/transport"
-	"repro/internal/wsa"
 	"repro/internal/wse"
 	"repro/internal/wsnt"
 	"repro/internal/wsrf"
 	"repro/internal/xmldom"
-	"repro/internal/xsdt"
 )
 
 // FrontHandler returns the broker's front door: Subscribe in either
@@ -125,64 +124,18 @@ func (b *Broker) handlePublish(env *soap.Envelope) error {
 	return nil
 }
 
-// handleSubscribe accepts a subscribe of either family, creates the
-// canonical subscription and answers in the requester's dialect.
+// handleSubscribe hands a Subscribe to its family's handler, which speaks
+// the requester's version over the broker's state.
 func (b *Broker) handleSubscribe(env *soap.Envelope, d mediation.Dialect) (*soap.Envelope, error) {
 	done := b.opDone("Subscribe")
 	defer func() { done(d.String()) }()
-	var canon *mediation.Subscribe
 	switch d.Family {
 	case mediation.FamilyWSE:
-		req, v, err := wse.ParseSubscribe(env.FirstBody())
-		if err != nil {
-			return nil, wse.FaultInvalidMessage(d.WSE, err.Error())
-		}
-		if err := req.Validate(v); err != nil {
-			return nil, err
-		}
-		canon = mediation.FromWSE(req, v)
+		return wse.HandleSubscribe(d.WSE, wseState{brokerState{b}}, env, b.nextMessageID)
 	case mediation.FamilyWSN:
-		req, v, err := wsnt.ParseSubscribe(env.FirstBody())
-		if err != nil {
-			return nil, wsnt.FaultSubscribeCreationFailed(d.WSN, err.Error())
-		}
-		if err := req.Validate(v); err != nil {
-			return nil, err
-		}
-		canon = mediation.FromWSN(req, v)
-	default:
-		return nil, soap.Faultf(soap.FaultSender, "ws-messenger: unsupported subscribe dialect")
+		return wsnt.HandleSubscribe(d.WSN, wsnState{brokerState{b}}, env, b.nextMessageID)
 	}
-
-	flt, err := canon.BuildFilter()
-	if err != nil {
-		if d.Family == mediation.FamilyWSE {
-			return nil, wse.FaultFilteringNotSupported(d.WSE, err.Error())
-		}
-		return nil, wsnt.FaultFilter(d.WSN, err, canon.TopicExpr, canon.TopicDialect)
-	}
-	expires, err := b.grantExpiry(canon.Expires, d)
-	if err != nil {
-		if d.Family == mediation.FamilyWSE {
-			return nil, wse.FaultUnsupportedExpirationType(d.WSE)
-		}
-		return nil, wsnt.FaultUnacceptableTerminationTime(d.WSN, err.Error())
-	}
-	// Only restoring a snapshot identity can fail; a fresh lease cannot.
-	id, _ := b.newSubscription(&subState{canon: canon, flt: flt}, sublease.Snapshot{Expires: expires})
-
-	expText := wse.FormatExpires(expires)
-	var resp *xmldom.Element
-	var wv wsa.Version
-	if d.Family == mediation.FamilyWSE {
-		wv = d.WSE.WSAVersion()
-		resp = (&wse.SubscribeResponse{Manager: wsa.NewEPR(wv, b.cfg.ManagerAddress), ID: id, Expires: expText}).Element(d.WSE)
-	} else {
-		wv = d.WSN.WSAVersion()
-		resp = (&wsnt.SubscribeResponse{SubscriptionReference: wsa.NewEPR(wv, b.cfg.ManagerAddress), ID: id,
-			CurrentTime: xsdt.FormatDateTime(b.cfg.Clock()), TerminationTime: expText}).Element(d.WSN)
-	}
-	return wsa.Reply(wv, resp.Name.Space+"/"+resp.Name.Local, env, resp, b.nextMessageID), nil
+	return nil, soap.Faultf(soap.FaultSender, "ws-messenger: unsupported subscribe dialect")
 }
 
 func (b *Broker) handleGetCurrentMessage(env *soap.Envelope, d mediation.Dialect) (*soap.Envelope, error) {
@@ -191,7 +144,7 @@ func (b *Broker) handleGetCurrentMessage(env *soap.Envelope, d mediation.Dialect
 	if d.Family != mediation.FamilyWSN {
 		return nil, soap.Faultf(soap.FaultSender, "ws-messenger: GetCurrentMessage is a WS-Notification operation")
 	}
-	return wsnt.HandleGetCurrentMessage(d.WSN, brokerState{b}, env, b.nextMessageID)
+	return wsnt.HandleGetCurrentMessage(d.WSN, wsnState{brokerState{b}}, env, b.nextMessageID)
 }
 
 // subscriptionID recovers the subscription id from whichever reference
@@ -225,21 +178,42 @@ func (b *Broker) handleManagement(env *soap.Envelope, d mediation.Dialect) (*soa
 	id := b.subscriptionID(env)
 	switch d.Family {
 	case mediation.FamilyWSE:
-		return wse.HandleManagement(d.WSE, brokerState{b}, env, id, b.nextMessageID)
+		return wse.HandleManagement(d.WSE, wseState{brokerState{b}}, env, id, b.nextMessageID)
 	case mediation.FamilyWSN:
-		return wsnt.HandleManagement(d.WSN, brokerState{b}, env, id, b.nextMessageID)
+		return wsnt.HandleManagement(d.WSN, wsnState{brokerState{b}}, env, id, b.nextMessageID)
 	}
 	return nil, soap.Faultf(soap.FaultSender, "ws-messenger: unknown management dialect")
 }
 
 // brokerState is the broker's subscription state — lease store, dispatch
 // engine, current messages — as the spec packages' handlers see it.
+// wseState and wsnState add each family's Create, whose signatures differ.
 type brokerState struct{ *Broker }
 
-func (b brokerState) Now() time.Time { return b.cfg.Clock() }
+type wseState struct{ brokerState }
 
-func (b brokerState) Renew(id string, requested time.Time) (time.Time, error) {
-	return b.renewSubscription(id, sublease.Grant(requested, b.cfg.Clock(), b.cfg.DefaultExpiry, b.cfg.MaxExpiry))
+type wsnState struct{ brokerState }
+
+func (b wseState) Create(v wse.Version, req *wse.SubscribeRequest, flt filter.All, expires time.Time) string {
+	return b.create(mediation.FromWSE(req, v), flt, expires)
+}
+
+func (b wsnState) Create(v wsnt.Version, req *wsnt.SubscribeRequest, flt filter.All, expires time.Time) (string, error) {
+	return b.create(mediation.FromWSN(req, v), flt, expires), nil
+}
+
+// create registers a fresh subscription; only restoring a snapshot
+// identity can fail, so a fresh lease cannot.
+func (b brokerState) create(canon *mediation.Subscribe, flt filter.All, expires time.Time) string {
+	id, _ := b.newSubscription(&subState{canon: canon, flt: flt}, sublease.Snapshot{Expires: expires})
+	return id
+}
+
+func (b brokerState) Now() time.Time                      { return b.cfg.Clock() }
+func (b brokerState) Grant(requested time.Time) time.Time { return b.grant(requested) }
+
+func (b brokerState) Renew(id string, expires time.Time) (time.Time, error) {
+	return b.renewSubscription(id, expires)
 }
 
 func (b brokerState) Expires(id string) (time.Time, error) {

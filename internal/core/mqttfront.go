@@ -168,9 +168,7 @@ func (f *mqttFront) serve(nc net.Conn) {
 	// backlog flushes PUBLISHes as soon as delivery restarts.
 	for _, sub := range resumed {
 		_ = f.b.resumeSubscription(sub.subID) // an expired lease stays dead
-		if t, err := f.b.grantExpiry("", mediation.Dialect{Family: mediation.FamilyCE}); err == nil {
-			_, _ = f.b.renewSubscription(sub.subID, t)
-		}
+		_, _ = f.b.renewSubscription(sub.subID, f.b.grant(time.Time{}))
 	}
 	f.b.mqttConns.Add(1)
 	inc(f.b.mqttConnsTotal)

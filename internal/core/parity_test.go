@@ -370,3 +370,178 @@ func TestManagementParity(t *testing.T) {
 		}
 	}
 }
+
+// subscribeSummary renders a Subscribe answer for comparison: the fault
+// code and subcode, or the reply's action, body element, child names and
+// the granted times (ids and manager addresses differ by construction).
+func subscribeSummary(resp *soap.Envelope, err error) string {
+	if err != nil {
+		if f, ok := soap.ErrFault(err); ok {
+			return fmt.Sprintf("fault %v %v", f.Code, f.Subcode)
+		}
+		return "error " + err.Error()
+	}
+	body := resp.FirstBody()
+	if body == nil {
+		return "empty reply"
+	}
+	var kids []string
+	for _, c := range body.ChildElements() {
+		kid := c.Name.String()
+		switch c.Name.Local {
+		case "Expires", "TerminationTime", "CurrentTime":
+			kid += "=" + strings.TrimSpace(c.Text())
+		}
+		kids = append(kids, kid)
+	}
+	action := ""
+	if h, ok := wsa.ParseHeaders(resp); ok {
+		action = h.Action
+	}
+	return fmt.Sprintf("reply %s %v(%s)", action, body.Name, strings.Join(kids, " "))
+}
+
+// subscribeCell is one Subscribe request, rendered for a door's version.
+type subscribeCell struct {
+	name string
+	body func() *xmldom.Element
+	// differs declares a cell on which the two doors answer differently by
+	// design: a standalone server is pinned to its version and faults a
+	// Subscribe of the other one, which the broker accepts.
+	differs bool
+}
+
+// TestSubscribeParity sends the same Subscribe, valid and malformed in
+// every way a filter, expiry, delivery mode or consumer can be, to the
+// broker and to the standalone server of each wire version. Both must
+// grant the same lease or refuse with the same fault.
+func TestSubscribeParity(t *testing.T) {
+	now := parityClock()()
+	type family struct {
+		name  string
+		doors func(t *testing.T) (parityDoor, parityDoor)
+		cells []subscribeCell
+	}
+	var fams []family
+	for _, v := range []wse.Version{wse.V200401, wse.V200408} {
+		other := wse.V200408
+		if v == wse.V200408 {
+			other = wse.V200401
+		}
+		req := func(edit func(r *wse.SubscribeRequest)) func() *xmldom.Element {
+			return func() *xmldom.Element {
+				r := &wse.SubscribeRequest{NotifyTo: wsa.NewEPR(v.WSAVersion(), "svc://sink"), Expires: "PT1H"}
+				edit(r)
+				return r.Element(v)
+			}
+		}
+		fams = append(fams, family{
+			name:  v.String(),
+			doors: func(t *testing.T) (parityDoor, parityDoor) { return wseParityDoors(t, v) },
+			cells: []subscribeCell{
+				{name: "valid", body: req(func(r *wse.SubscribeRequest) {})},
+				{name: "no-notify-to", body: req(func(r *wse.SubscribeRequest) { r.NotifyTo = nil })},
+				{name: "no-expiry", body: req(func(r *wse.SubscribeRequest) { r.Expires = "" })},
+				{name: "bad-expiry", body: req(func(r *wse.SubscribeRequest) { r.Expires = "quarter-past-never" })},
+				{name: "negative-expiry", body: req(func(r *wse.SubscribeRequest) { r.Expires = "-PT1H" })},
+				{name: "past-expiry", body: req(func(r *wse.SubscribeRequest) { r.Expires = "2000-01-01T00:00:00Z" })},
+				{name: "prefixed-xpath", body: req(func(r *wse.SubscribeRequest) {
+					r.FilterExpr, r.FilterNS = "/g:Ev[g:val='p']", map[string]string{"g": "urn:grid"}
+				})},
+				{name: "bad-xpath", body: req(func(r *wse.SubscribeRequest) { r.FilterExpr = "///[" })},
+				{name: "unknown-dialect", body: req(func(r *wse.SubscribeRequest) {
+					r.FilterDialect, r.FilterExpr = "urn:bogus", "/Ev"
+				})},
+				{name: "topic-dialect", body: req(func(r *wse.SubscribeRequest) {
+					r.FilterDialect, r.FilterExpr = topics.DialectConcrete, "jobs"
+				})},
+				{name: "pull", body: req(func(r *wse.SubscribeRequest) { r.Mode = v.DeliveryModePull() })},
+				{name: "wrap", body: req(func(r *wse.SubscribeRequest) { r.Mode = v.DeliveryModeWrap() })},
+				{name: "bogus-mode", body: req(func(r *wse.SubscribeRequest) { r.Mode = "urn:bogus-mode" })},
+				{name: "pull-no-notify-to", body: req(func(r *wse.SubscribeRequest) {
+					r.Mode, r.NotifyTo = v.DeliveryModePull(), nil
+				})},
+				{name: "other-version", differs: true, body: func() *xmldom.Element {
+					return (&wse.SubscribeRequest{NotifyTo: wsa.NewEPR(other.WSAVersion(), "svc://sink")}).Element(other)
+				}},
+			},
+		})
+	}
+	for _, v := range []wsnt.Version{wsnt.V1_0, wsnt.V1_3} {
+		other := wsnt.V1_3
+		if v == wsnt.V1_3 {
+			other = wsnt.V1_0
+		}
+		consumer := func(v wsnt.Version) *wsa.EndpointReference { return wsa.NewEPR(v.WSAVersion(), "svc://consumer") }
+		req := func(edit func(r *wsnt.SubscribeRequest)) func() *xmldom.Element {
+			return func() *xmldom.Element {
+				r := &wsnt.SubscribeRequest{
+					ConsumerReference: consumer(v),
+					TopicExpression:   "t:jobs", TopicDialect: topics.DialectConcrete,
+					TopicNS:                map[string]string{"t": "urn:grid"},
+					InitialTerminationTime: xsdt.FormatDateTime(now.Add(time.Hour)),
+				}
+				edit(r)
+				return r.Element(v)
+			}
+		}
+		fams = append(fams, family{
+			name:  v.String(),
+			doors: func(t *testing.T) (parityDoor, parityDoor) { return wsnParityDoors(t, v) },
+			cells: []subscribeCell{
+				{name: "valid", body: req(func(r *wsnt.SubscribeRequest) {})},
+				{name: "no-consumer", body: req(func(r *wsnt.SubscribeRequest) { r.ConsumerReference = nil })},
+				{name: "no-topic", body: req(func(r *wsnt.SubscribeRequest) { r.TopicExpression = "" })},
+				{name: "no-expiry", body: req(func(r *wsnt.SubscribeRequest) { r.InitialTerminationTime = "" })},
+				{name: "bad-expiry", body: req(func(r *wsnt.SubscribeRequest) { r.InitialTerminationTime = "quarter-past-never" })},
+				{name: "duration", body: req(func(r *wsnt.SubscribeRequest) { r.InitialTerminationTime = "PT1H" })},
+				{name: "past-expiry", body: req(func(r *wsnt.SubscribeRequest) { r.InitialTerminationTime = "2000-01-01T00:00:00Z" })},
+				{name: "unknown-topic-dialect", body: req(func(r *wsnt.SubscribeRequest) { r.TopicDialect = "urn:bogus" })},
+				{name: "wildcard-topic", body: req(func(r *wsnt.SubscribeRequest) {
+					r.TopicDialect, r.TopicExpression = topics.DialectFull, "t:*"
+				})},
+				{name: "bad-topic", body: req(func(r *wsnt.SubscribeRequest) { r.TopicExpression = "t:jobs//[" })},
+				{name: "unbound-prefix", body: req(func(r *wsnt.SubscribeRequest) { r.TopicExpression = "u:jobs" })},
+				{name: "prefixed-xpath", body: req(func(r *wsnt.SubscribeRequest) {
+					r.ContentExpr, r.ContentNS = "/g:Ev[g:val='p']", map[string]string{"g": "urn:grid"}
+				})},
+				{name: "bad-xpath", body: req(func(r *wsnt.SubscribeRequest) { r.ContentExpr = "///[" })},
+				{name: "content-dialect", body: req(func(r *wsnt.SubscribeRequest) {
+					r.ContentDialect, r.ContentExpr = "urn:bogus", "/Ev"
+				})},
+				{name: "bad-producer-properties", body: req(func(r *wsnt.SubscribeRequest) { r.ProducerPropsExpr = "///[" })},
+				{name: "use-raw", body: req(func(r *wsnt.SubscribeRequest) { r.UseRaw = true })},
+				{name: "other-version", differs: true, body: func() *xmldom.Element {
+					return (&wsnt.SubscribeRequest{ConsumerReference: consumer(other), TopicExpression: "t:jobs",
+						TopicNS: map[string]string{"t": "urn:grid"}}).Element(other)
+				}},
+			},
+		})
+	}
+
+	for _, fam := range fams {
+		broker, standalone := fam.doors(t)
+		for _, c := range fam.cells {
+			t.Run(fam.name+"/"+c.name, func(t *testing.T) {
+				ask := func(d parityDoor) string {
+					body := c.body()
+					env := soap.New(soap.V11)
+					(&wsa.MessageHeaders{Version: wsa.V200508, Action: body.Name.Space + "/Subscribe",
+						MessageID: "urn:test:parity"}).Apply(env)
+					env.AddBody(body)
+					return subscribeSummary(d.lb.Call(context.Background(), d.front, env))
+				}
+				got, want := ask(standalone), ask(broker)
+				if c.differs {
+					if got == want {
+						t.Errorf("declared difference vanished: both answer %s", got)
+					}
+					return
+				}
+				if got != want {
+					t.Errorf("standalone answers %s\n           broker answers %s", got, want)
+				}
+			})
+		}
+	}
+}

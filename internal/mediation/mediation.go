@@ -220,35 +220,10 @@ func (s *Subscribe) ToWSN(v wsnt.Version) *wsnt.SubscribeRequest {
 	}
 }
 
-// BuildFilter compiles the canonical filters into one conjunction.
+// BuildFilter compiles the canonical filters into one conjunction, by the
+// WS-Notification rules every family's filters are a subset of.
 func (s *Subscribe) BuildFilter() (filter.All, error) {
-	var fs filter.All
-	if s.TopicExpr != "" {
-		dialect := s.TopicDialect
-		if dialect == "" {
-			dialect = topics.DialectConcrete
-		}
-		tf, err := filter.NewTopic(dialect, s.TopicExpr, s.TopicNS)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, tf)
-	}
-	if s.ContentExpr != "" {
-		cf, err := filter.NewContent(s.ContentDialect, s.ContentExpr, s.ContentNS)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, cf)
-	}
-	if s.ProducerPropsExpr != "" {
-		pf, err := filter.NewProducerProperties(s.ProducerPropsDialect, s.ProducerPropsExpr, s.ProducerPropsNS)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, pf)
-	}
-	return fs, nil
+	return s.ToWSN(wsnt.V1_3).BuildFilter(wsnt.V1_3)
 }
 
 // Notification is the canonical event: payload plus optional topic and,

@@ -1,30 +1,72 @@
 package wse
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/soap"
 	"repro/internal/wsa"
 	"repro/internal/xmldom"
 )
 
-// Manager is the subscription state a WS-Eventing subscription manager
-// acts on. HandleManagement owns the wire side — parsing, the version's
-// operation set, faults and replies — so every server that implements
-// Manager answers the vocabulary identically over its own store.
+// Manager is the subscription state a WS-Eventing event source and its
+// subscription manager act on. HandleSubscribe and HandleManagement own the
+// wire side — parsing, the version's rules, faults and replies — so every
+// server that implements Manager answers the vocabulary identically over
+// its own store.
 type Manager interface {
 	// Now is the instant duration expirations count from.
 	Now() time.Time
-	// Renew extends the subscription to the requested expiry (zero: none
-	// requested) and returns the expiry granted.
-	Renew(id string, requested time.Time) (time.Time, error)
+	// Grant settles a requested expiry (zero: none requested) under the
+	// server's lease policy; Create and Renew take only granted expiries.
+	Grant(requested time.Time) time.Time
+	// Create registers a subscription to req filtered by flt and returns its
+	// id.
+	Create(v Version, req *SubscribeRequest, flt filter.All, expires time.Time) string
+	// ManagerAddress is the endpoint subscriptions are managed at.
+	ManagerAddress() string
+	Renew(id string, expires time.Time) (time.Time, error)
 	// Expires reports the subscription's expiry (zero: indefinite).
 	Expires(id string) (time.Time, error)
 	Unsubscribe(id string) error
 	// Pull takes up to max (0: all) buffered notifications, oldest first.
 	Pull(id string, max int) ([]*xmldom.Element, error)
+}
+
+// HandleSubscribe answers a Subscribe request of version v: it checks the
+// request, compiles its filter, grants its expiry under m's lease policy and
+// has m create the subscription. nextID mints the reply's message id and is
+// called only once a reply is certain.
+func HandleSubscribe(v Version, m Manager, env *soap.Envelope, nextID func() string) (*soap.Envelope, error) {
+	req, reqVer, err := ParseSubscribe(env.FirstBody())
+	if err != nil {
+		return nil, FaultInvalidMessage(v, err.Error())
+	}
+	if reqVer != v {
+		return nil, FaultInvalidMessage(v, fmt.Sprintf("subscribe uses %v, this endpoint speaks %v", reqVer, v))
+	}
+	if err := req.Validate(v); err != nil {
+		return nil, err
+	}
+	flt := filter.AcceptAll
+	if req.FilterExpr != "" {
+		c, err := filter.NewContent(req.FilterDialect, req.FilterExpr, req.FilterNS)
+		if err != nil {
+			return nil, FaultFilteringNotSupported(v, err.Error())
+		}
+		flt = filter.All{c}
+	}
+	requested, err := ResolveExpires(req.Expires, m.Now())
+	if err != nil {
+		return nil, FaultUnsupportedExpirationType(v)
+	}
+	expires := m.Grant(requested)
+	id := m.Create(v, req, flt, expires)
+	resp := &SubscribeResponse{Manager: wsa.NewEPR(v.WSAVersion(), m.ManagerAddress()), ID: id, Expires: FormatExpires(expires)}
+	return reply(v, env, resp.Element(v), nextID), nil
 }
 
 // HandleManagement answers a Renew, GetStatus, Unsubscribe or Pull request
@@ -44,7 +86,7 @@ func HandleManagement(v Version, m Manager, env *soap.Envelope, id string, nextI
 		if err != nil {
 			return nil, FaultUnsupportedExpirationType(v)
 		}
-		granted, err := m.Renew(id, requested)
+		granted, err := m.Renew(id, m.Grant(requested))
 		if err != nil {
 			return nil, unknown()
 		}

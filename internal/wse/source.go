@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dispatch"
@@ -66,12 +66,10 @@ func (c *SourceConfig) withDefaults() SourceConfig {
 	return out
 }
 
-// subscription is the lease payload.
+// subscription is the lease payload: the granted request and its filter.
 type subscription struct {
-	notifyTo *wsa.EndpointReference
-	endTo    *wsa.EndpointReference
-	mode     string
-	flt      filter.Filter
+	*SubscribeRequest
+	flt filter.All
 }
 
 // Source is a WS-Eventing event source (and, for 1/2004 or shared-address
@@ -82,8 +80,7 @@ type Source struct {
 	cfg   SourceConfig
 	store *sublease.Store
 	eng   *dispatch.Engine
-	msgID uint64
-	mu    sync.Mutex // guards msgID
+	msgID atomic.Uint64
 }
 
 // NewSource builds an event source.
@@ -105,10 +102,7 @@ func (s *Source) ManagerAddress() string { return s.cfg.ManagerAddress }
 func (s *Source) SubscriptionCount() int { return len(s.store.Active()) }
 
 func (s *Source) nextMessageID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.msgID++
-	return fmt.Sprintf("urn:uuid:wse-msg-%d", s.msgID)
+	return fmt.Sprintf("urn:uuid:wse-msg-%d", s.msgID.Add(1))
 }
 
 // SourceHandler returns the handler for the event source endpoint.
@@ -120,12 +114,11 @@ func (s *Source) SourceHandler() transport.Handler {
 		if body == nil {
 			return nil, FaultInvalidMessage(s.cfg.Version, "empty body")
 		}
-		ns := s.cfg.Version.NS()
-		if body.Name == (xmldom.N(ns, "Subscribe")) {
-			return s.handleSubscribe(env)
-		}
-		if !s.separateEndpoints() {
-			return s.manage(env)
+		switch {
+		case body.Name.Local == "Subscribe":
+			return HandleSubscribe(s.cfg.Version, sourceState{s}, env, s.nextMessageID)
+		case s.cfg.ManagerAddress == s.cfg.Address: // always so for 1/2004
+			return s.manage(ctx, env)
 		}
 		return nil, FaultInvalidMessage(s.cfg.Version,
 			fmt.Sprintf("operation %s must be sent to the subscription manager", body.Name.Local))
@@ -134,59 +127,10 @@ func (s *Source) SourceHandler() transport.Handler {
 
 // ManagerHandler returns the handler for the subscription manager
 // endpoint: Renew, GetStatus, Unsubscribe and Pull.
-func (s *Source) ManagerHandler() transport.Handler {
-	return transport.HandlerFunc(func(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
-		return s.manage(env)
-	})
-}
+func (s *Source) ManagerHandler() transport.Handler { return transport.HandlerFunc(s.manage) }
 
-func (s *Source) manage(env *soap.Envelope) (*soap.Envelope, error) {
+func (s *Source) manage(_ context.Context, env *soap.Envelope) (*soap.Envelope, error) {
 	return HandleManagement(s.cfg.Version, sourceState{s}, env, s.subscriptionID(env), s.nextMessageID)
-}
-
-func (s *Source) separateEndpoints() bool {
-	return s.cfg.Version == V200408 && s.cfg.ManagerAddress != s.cfg.Address
-}
-
-func (s *Source) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
-	v := s.cfg.Version
-	req, reqVer, err := ParseSubscribe(env.FirstBody())
-	if err != nil {
-		return nil, FaultInvalidMessage(v, err.Error())
-	}
-	if reqVer != v {
-		return nil, FaultInvalidMessage(v, fmt.Sprintf("subscribe uses %v, this source speaks %v", reqVer, v))
-	}
-	if err := req.Validate(v); err != nil {
-		return nil, err
-	}
-
-	flt := filter.Filter(filter.AcceptAll)
-	if req.FilterExpr != "" {
-		c, err := filter.NewContent(req.FilterDialect, req.FilterExpr, req.FilterNS)
-		if err != nil {
-			return nil, FaultFilteringNotSupported(v, err.Error())
-		}
-		flt = c
-	}
-
-	now := s.cfg.Clock()
-	requested, err := ResolveExpires(req.Expires, now)
-	if err != nil {
-		return nil, FaultUnsupportedExpirationType(v)
-	}
-	expires := sublease.Grant(requested, now, s.cfg.DefaultExpiry, s.cfg.MaxExpiry)
-
-	sub := &subscription{notifyTo: req.NotifyTo, endTo: req.EndTo, mode: req.Mode, flt: flt}
-	lease := s.store.Create(sub, expires)
-	s.attach(lease.ID, sub, expires)
-
-	resp := &SubscribeResponse{
-		Manager: wsa.NewEPR(v.WSAVersion(), s.cfg.ManagerAddress),
-		ID:      lease.ID,
-		Expires: FormatExpires(expires),
-	}
-	return reply(v, env, resp.Element(v), s.nextMessageID), nil
 }
 
 // subscriptionID recovers which subscription a management request
@@ -205,13 +149,24 @@ func (s *Source) subscriptionID(env *soap.Envelope) string {
 }
 
 // sourceState is the Source's lease store and dispatch engine as
-// HandleManagement sees them. Every change reaches both.
+// HandleSubscribe and HandleManagement see them. Every change reaches both.
 type sourceState struct{ *Source }
 
 func (s sourceState) Now() time.Time { return s.cfg.Clock() }
 
-func (s sourceState) Renew(id string, requested time.Time) (time.Time, error) {
-	granted, err := s.store.Renew(id, sublease.Grant(requested, s.cfg.Clock(), s.cfg.DefaultExpiry, s.cfg.MaxExpiry))
+func (s sourceState) Grant(requested time.Time) time.Time {
+	return sublease.Grant(requested, s.cfg.Clock(), s.cfg.DefaultExpiry, s.cfg.MaxExpiry)
+}
+
+func (s sourceState) Create(_ Version, req *SubscribeRequest, flt filter.All, expires time.Time) string {
+	sub := &subscription{req, flt}
+	lease := s.store.Create(sub, expires)
+	s.attach(lease.ID, sub, expires)
+	return lease.ID
+}
+
+func (s sourceState) Renew(id string, expires time.Time) (time.Time, error) {
+	granted, err := s.store.Renew(id, expires)
 	if err == nil {
 		s.eng.SetDeadline(id, granted)
 	}
@@ -294,7 +249,7 @@ func (s *Source) attach(id string, sub *subscription, expires time.Time) {
 		Deadline: expires,
 	}
 	size := 1
-	switch sub.mode {
+	switch sub.Mode {
 	case v.DeliveryModePull():
 		ds.Mode, ds.QueueCap, ds.Overflow = dispatch.Pull, s.cfg.PullQueueCap, dispatch.DropOldest
 	case v.DeliveryModeWrap():
@@ -324,12 +279,12 @@ func (s *Source) Publish(ctx context.Context, payload *xmldom.Element, opts Publ
 // the extension header.
 func (s *Source) push(ctx context.Context, sub *subscription, body *xmldom.Element, action string, topic topics.Path) error {
 	env := soap.New(soap.V11)
-	wsa.DestinationEPR(sub.notifyTo, action, s.nextMessageID()).Apply(env)
+	wsa.DestinationEPR(sub.NotifyTo, action, s.nextMessageID()).Apply(env)
 	if !topic.IsZero() {
 		env.AddHeader(xmldom.Elem(TopicHeaderName.Space, TopicHeaderName.Local, topic.String()))
 	}
 	env.AddBody(body)
-	return s.cfg.Client.Send(ctx, sub.notifyTo.Address, env)
+	return s.cfg.Client.Send(ctx, sub.NotifyTo.Address, env)
 }
 
 // WrappedName is the batch wrapper element. The 8/2004 spec admits the
@@ -344,7 +299,7 @@ var WrappedName = xmldom.N("urn:ws-messenger:extensions", "Notifications")
 // one can only be FlushWrapped's, and goes with the default action.
 func (s *Source) deliver(ctx context.Context, sub *subscription, batch []dispatch.Message, size int) error {
 	body := batch[0].Payload.(*publication).msg.Payload
-	if sub.mode == s.cfg.Version.DeliveryModeWrap() {
+	if sub.Mode == s.cfg.Version.DeliveryModeWrap() {
 		body = xmldom.NewElement(WrappedName)
 		for _, m := range batch {
 			body.Append(xmldom.Elem(WrappedName.Space, "Message", m.Payload.(*publication).msg.Payload))
@@ -373,7 +328,7 @@ func (s *Source) Scavenge() int { return s.store.Scavenge() }
 func (s *Source) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
 	s.eng.Unsubscribe(sn.ID)
 	sub, ok := sn.Data.(*subscription)
-	if !ok || sub.endTo == nil {
+	if !ok || sub.EndTo == nil {
 		return
 	}
 	status := EndSourceCanceling
@@ -382,8 +337,6 @@ func (s *Source) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
 		status = EndSourceShuttingDown
 	case sublease.EndDeliveryFailure:
 		status = EndDeliveryFailure
-	case sublease.EndExpired:
-		status = EndSourceCanceling
 	}
 	v := s.cfg.Version
 	end := &SubscriptionEnd{
@@ -393,9 +346,9 @@ func (s *Source) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
 		Reason:  string(reason),
 	}
 	env := soap.New(soap.V11)
-	wsa.DestinationEPR(sub.endTo, v.ActionSubscriptionEnd(), s.nextMessageID()).Apply(env)
+	wsa.DestinationEPR(sub.EndTo, v.ActionSubscriptionEnd(), s.nextMessageID()).Apply(env)
 	env.AddBody(end.Element(v))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_ = s.cfg.Client.Send(ctx, sub.endTo.Address, env)
+	_ = s.cfg.Client.Send(ctx, sub.EndTo.Address, env)
 }

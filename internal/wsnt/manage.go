@@ -2,6 +2,7 @@ package wsnt
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"time"
 
@@ -17,16 +18,22 @@ import (
 )
 
 // Manager is the subscription state a WS-BaseNotification subscription
-// manager and producer act on. HandleManagement and HandleGetCurrentMessage
-// own the wire side — parsing, the version's operation set, faults and
-// replies — so every server that implements Manager answers the vocabulary
-// identically over its own store.
+// manager and producer act on. HandleSubscribe, HandleManagement and
+// HandleGetCurrentMessage own the wire side — parsing, the version's
+// operation set, faults and replies — so every server that implements
+// Manager answers the vocabulary identically over its own store.
 type Manager interface {
 	// Now is the instant durations count from and CurrentTime reports.
 	Now() time.Time
-	// Renew extends the subscription to the requested expiry (zero: none
-	// requested) and returns the expiry granted.
-	Renew(id string, requested time.Time) (time.Time, error)
+	// Grant settles a requested expiry (zero: none requested) under the
+	// server's lease policy; Create and Renew take only granted expiries.
+	Grant(requested time.Time) time.Time
+	// Create registers a subscription to req filtered by flt and returns its
+	// id, or the fault that refuses it.
+	Create(v Version, req *SubscribeRequest, flt filter.All, expires time.Time) (string, error)
+	// ManagerAddress is the endpoint subscriptions are managed at.
+	ManagerAddress() string
+	Renew(id string, expires time.Time) (time.Time, error)
 	Unsubscribe(id string) error
 	// Pause and Resume fail with sublease.ErrNotFound for an unknown id;
 	// any other error is a known subscription that cannot comply.
@@ -45,6 +52,46 @@ func (v Version) ResolveTerminationTime(raw string, now time.Time) (time.Time, e
 		return time.Time{}, errors.New("duration expirations require WS-Notification 1.3")
 	}
 	return wse.ResolveExpires(raw, now)
+}
+
+// HandleSubscribe answers a Subscribe request of version v: it checks the
+// request, compiles its filters, grants its initial termination time under
+// m's lease policy and has m create the subscription. nextID mints the
+// reply's message id and is called only once a reply is certain.
+func HandleSubscribe(v Version, m Manager, env *soap.Envelope, nextID func() string) (*soap.Envelope, error) {
+	req, reqVer, err := ParseSubscribe(env.FirstBody())
+	if err != nil {
+		return nil, FaultSubscribeCreationFailed(v, err.Error())
+	}
+	if reqVer != v {
+		return nil, FaultSubscribeCreationFailed(v, fmt.Sprintf("subscribe uses %v, this endpoint speaks %v", reqVer, v))
+	}
+	if err := req.Validate(v); err != nil {
+		return nil, err
+	}
+	flt, err := req.BuildFilter(v)
+	if err != nil {
+		// An unsupported topic-expression dialect is TopicNotSupportedFault,
+		// any other filter error InvalidFilterFault.
+		var ude *filter.UnknownDialectError
+		if errors.As(err, &ude) && req.TopicExpression != "" && ude.Dialect == req.TopicDialect {
+			return nil, FaultTopicNotSupported(v, req.TopicExpression)
+		}
+		return nil, FaultInvalidFilter(v, err.Error())
+	}
+	now := m.Now()
+	requested, err := v.ResolveTerminationTime(req.InitialTerminationTime, now)
+	if err != nil {
+		return nil, FaultUnacceptableTerminationTime(v, err.Error())
+	}
+	expires := m.Grant(requested)
+	id, err := m.Create(v, req, flt, expires)
+	if err != nil {
+		return nil, err
+	}
+	resp := &SubscribeResponse{SubscriptionReference: wsa.NewEPR(v.WSAVersion(), m.ManagerAddress()), ID: id,
+		CurrentTime: xsdt.FormatDateTime(now), TerminationTime: wse.FormatExpires(expires)}
+	return reply(v, env, resp.Element(v), nextID), nil
 }
 
 // HandleManagement answers a PauseSubscription, ResumeSubscription, Renew
@@ -82,7 +129,7 @@ func HandleManagement(v Version, m Manager, env *soap.Envelope, id string, nextI
 		if err != nil {
 			return nil, FaultUnacceptableTerminationTime(v, err.Error())
 		}
-		granted, err := m.Renew(id, requested)
+		granted, err := m.Renew(id, m.Grant(requested))
 		if err != nil {
 			return nil, FaultUnknownSubscription(v, id)
 		}
@@ -135,19 +182,6 @@ func HandleGetCurrentMessage(v Version, m Manager, env *soap.Envelope, nextID fu
 	return reply(v, env, xmldom.Elem(ns, "GetCurrentMessageResponse", msg.Clone()), nextID), nil
 }
 
-// FaultFilter is the fault version v answers a Subscribe whose filters
-// failed to compile with: an unsupported topic-expression dialect is
-// TopicNotSupportedFault, while an uncompilable expression or an unknown
-// content dialect is InvalidFilterFault. topicExpr and topicDialect are the
-// request's topic filter.
-func FaultFilter(v Version, err error, topicExpr, topicDialect string) *soap.Fault {
-	var ude *filter.UnknownDialectError
-	if errors.As(err, &ude) && topicExpr != "" && ude.Dialect == topicDialect {
-		return FaultTopicNotSupported(v, topicExpr)
-	}
-	return FaultInvalidFilter(v, err.Error())
-}
-
 // SubscriptionState is a subscription as its WS-Resource properties show
 // it (1.0 reads status through WSRF, Table 2): its lease, its filters and
 // its consumer.
@@ -187,8 +221,10 @@ func (r subResource) PropertyDocument() (*xmldom.Element, error) {
 	return doc, nil
 }
 
-func (r subResource) SetTerminationTime(t time.Time) (time.Time, error) { return r.m.Renew(r.st.ID, t) }
-func (r subResource) Destroy() error                                    { return r.m.Unsubscribe(r.st.ID) }
+func (r subResource) SetTerminationTime(t time.Time) (time.Time, error) {
+	return r.m.Renew(r.st.ID, r.m.Grant(t))
+}
+func (r subResource) Destroy() error { return r.m.Unsubscribe(r.st.ID) }
 
 // reply wraps a response body for req, its action named after the body
 // element as every WS-BaseNotification response action is.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dispatch"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/wsa"
 	"repro/internal/wsrf"
 	"repro/internal/xmldom"
-	"repro/internal/xsdt"
 )
 
 // ProducerConfig configures a notification producer.
@@ -61,11 +61,10 @@ func (c *ProducerConfig) withDefaults() ProducerConfig {
 	return out
 }
 
-// subscription is the lease payload.
+// subscription is the lease payload: the granted request and its filters.
 type subscription struct {
-	consumer *wsa.EndpointReference
-	flt      filter.All
-	useRaw   bool
+	*SubscribeRequest
+	flt filter.All
 }
 
 // Producer is a WS-BaseNotification NotificationProducer plus its
@@ -75,8 +74,8 @@ type Producer struct {
 	cfg     ProducerConfig
 	store   *sublease.Store
 	eng     *dispatch.Engine
-	msgID   uint64
-	mu      sync.Mutex
+	msgID   atomic.Uint64
+	mu      sync.Mutex                 // guards current
 	current map[string]*xmldom.Element // last message per concrete topic
 	wsrfSvc *wsrf.Service
 }
@@ -102,10 +101,7 @@ func NewProducer(cfg ProducerConfig) *Producer {
 func (p *Producer) SubscriptionCount() int { return len(p.store.Active()) }
 
 func (p *Producer) nextMessageID() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.msgID++
-	return fmt.Sprintf("urn:uuid:wsnt-msg-%d", p.msgID)
+	return fmt.Sprintf("urn:uuid:wsnt-msg-%d", p.msgID.Add(1))
 }
 
 func (p *Producer) subscriptionIDFromEnvelope(env *soap.Envelope) string {
@@ -123,14 +119,12 @@ func (p *Producer) ProducerHandler() transport.Handler {
 		if body == nil {
 			return nil, FaultSubscribeCreationFailed(p.cfg.Version, "empty body")
 		}
-		ns := p.cfg.Version.NS()
-		switch body.Name {
-		case xmldom.N(ns, "Subscribe"):
-			return p.handleSubscribe(env)
-		case xmldom.N(ns, "GetCurrentMessage"):
+		switch {
+		case body.Name.Local == "Subscribe":
+			return HandleSubscribe(p.cfg.Version, producerState{p}, env, p.nextMessageID)
+		case body.Name == xmldom.N(p.cfg.Version.NS(), "GetCurrentMessage"):
 			return HandleGetCurrentMessage(p.cfg.Version, producerState{p}, env, p.nextMessageID)
-		}
-		if p.cfg.ManagerAddress == p.cfg.Address {
+		case p.cfg.ManagerAddress == p.cfg.Address:
 			return p.ManagerHandler().ServeSOAP(ctx, env)
 		}
 		return nil, FaultUnsupportedOperation(p.cfg.Version, body.Name.Local)
@@ -156,61 +150,32 @@ func (p *Producer) ManagerHandler() transport.Handler {
 	})
 }
 
-func (p *Producer) handleSubscribe(env *soap.Envelope) (*soap.Envelope, error) {
-	v := p.cfg.Version
-	req, reqVer, err := ParseSubscribe(env.FirstBody())
-	if err != nil {
-		return nil, FaultSubscribeCreationFailed(v, err.Error())
-	}
-	if reqVer != v {
-		return nil, FaultSubscribeCreationFailed(v,
-			fmt.Sprintf("subscribe uses %v, this producer speaks %v", reqVer, v))
-	}
-	if err := req.Validate(v); err != nil {
-		return nil, err
-	}
-
-	flt, err := req.BuildFilter(v)
-	if err != nil {
-		return nil, FaultFilter(v, err, req.TopicExpression, req.TopicDialect)
-	}
-
-	// Topic support check against the advertised topic space.
-	if e := flt.TopicExpression(); e != nil && p.cfg.FixedTopicSet && !p.cfg.Topics.Supports(e) {
-		return nil, FaultTopicNotSupported(v, req.TopicExpression)
-	}
-
-	now := p.cfg.Clock()
-	requested, err := v.ResolveTerminationTime(req.InitialTerminationTime, now)
-	if err != nil {
-		return nil, FaultUnacceptableTerminationTime(v, err.Error())
-	}
-	expires := sublease.Grant(requested, now, p.cfg.DefaultExpiry, p.cfg.MaxExpiry)
-
-	sub := &subscription{consumer: req.ConsumerReference, flt: flt, useRaw: req.UseRaw}
-	lease := p.store.Create(sub, expires)
-	p.attach(lease.ID, sub, expires)
-
-	resp := &SubscribeResponse{
-		SubscriptionReference: wsa.NewEPR(v.WSAVersion(), p.cfg.ManagerAddress),
-		ID:                    lease.ID,
-		CurrentTime:           xsdt.FormatDateTime(now),
-	}
-	if !expires.IsZero() {
-		resp.TerminationTime = xsdt.FormatDateTime(expires)
-	}
-	return reply(v, env, resp.Element(v), p.nextMessageID), nil
-}
-
 // producerState is the Producer's lease store, dispatch engine and current
-// messages as the management handlers and the WSRF service see them. Every
-// change reaches both store and engine.
+// messages as the spec handlers and the WSRF service see them. Every change
+// reaches both store and engine.
 type producerState struct{ *Producer }
 
-func (p producerState) Now() time.Time { return p.cfg.Clock() }
+func (p producerState) Now() time.Time         { return p.cfg.Clock() }
+func (p producerState) ManagerAddress() string { return p.cfg.ManagerAddress }
 
-func (p producerState) Renew(id string, requested time.Time) (time.Time, error) {
-	granted, err := p.store.Renew(id, sublease.Grant(requested, p.cfg.Clock(), p.cfg.DefaultExpiry, p.cfg.MaxExpiry))
+func (p producerState) Grant(requested time.Time) time.Time {
+	return sublease.Grant(requested, p.cfg.Clock(), p.cfg.DefaultExpiry, p.cfg.MaxExpiry)
+}
+
+// Create refuses, under FixedTopicSet, a topic expression that matches
+// nothing in the advertised topic space.
+func (p producerState) Create(v Version, req *SubscribeRequest, flt filter.All, expires time.Time) (string, error) {
+	if e := flt.TopicExpression(); e != nil && p.cfg.FixedTopicSet && !p.cfg.Topics.Supports(e) {
+		return "", FaultTopicNotSupported(v, req.TopicExpression)
+	}
+	sub := &subscription{req, flt}
+	lease := p.store.Create(sub, expires)
+	p.attach(lease.ID, sub, expires)
+	return lease.ID, nil
+}
+
+func (p producerState) Renew(id string, expires time.Time) (time.Time, error) {
+	granted, err := p.store.Renew(id, expires)
 	if err == nil {
 		p.eng.SetDeadline(id, granted)
 	}
@@ -245,7 +210,7 @@ func (p producerState) Resource(id string) (wsrf.Resource, error) {
 		return nil, err
 	}
 	sub := sn.Data.(*subscription)
-	return SubscriptionResource(p, SubscriptionState{sn, sub.flt, sub.consumer}), nil
+	return SubscriptionResource(p, SubscriptionState{sn, sub.flt, sub.ConsumerReference}), nil
 }
 
 func (p producerState) CurrentMessage(topic topics.Path) *xmldom.Element {
@@ -337,7 +302,7 @@ func (p *Producer) notificationMessage(subID string, topic topics.Path, payload 
 // one Notify, per the subscription's policy (§V.3 "Message encapsulation").
 func (p *Producer) deliver(subID string, sub *subscription, pub *publication) error {
 	var err error
-	if sub.useRaw {
+	if sub.UseRaw {
 		for _, pl := range pub.accepted {
 			if e := p.send(pub.ctx, sub, pl.Clone()); e != nil && err == nil {
 				err = e
@@ -358,9 +323,9 @@ func (p *Producer) deliver(subID string, sub *subscription, pub *publication) er
 
 func (p *Producer) send(ctx context.Context, sub *subscription, body *xmldom.Element) error {
 	env := soap.New(soap.V11)
-	wsa.DestinationEPR(sub.consumer, p.cfg.Version.ActionNotify(), p.nextMessageID()).Apply(env)
+	wsa.DestinationEPR(sub.ConsumerReference, p.cfg.Version.ActionNotify(), p.nextMessageID()).Apply(env)
 	env.AddBody(body)
-	return p.cfg.Client.Send(ctx, sub.consumer.Address, env)
+	return p.cfg.Client.Send(ctx, sub.ConsumerReference.Address, env)
 }
 
 // HasTopicDemand reports whether any live, unpaused subscription would
@@ -393,14 +358,11 @@ func (p *Producer) onLeaseEnd(sn sublease.Snapshot, reason sublease.EndReason) {
 	if !p.cfg.Version.RequiresWSRF() {
 		return
 	}
-	sub, ok := sn.Data.(*subscription)
-	if !ok {
-		return
-	}
+	sub := sn.Data.(*subscription)
 	env := soap.New(soap.V11)
-	wsa.DestinationEPR(sub.consumer, wsrf.ActionTerminationNotice, p.nextMessageID()).Apply(env)
+	wsa.DestinationEPR(sub.ConsumerReference, wsrf.ActionTerminationNotice, p.nextMessageID()).Apply(env)
 	env.AddBody(wsrf.NewTerminationNotification(p.cfg.Clock(), string(reason)))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_ = p.cfg.Client.Send(ctx, sub.consumer.Address, env)
+	_ = p.cfg.Client.Send(ctx, sub.ConsumerReference.Address, env)
 }
