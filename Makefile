@@ -18,10 +18,11 @@ race:
 
 # Full pre-merge gate: compile, vet, tests, and the race detector over
 # the concurrency-heavy packages, including the standalone spec endpoints
-# that publish through the dispatch engine (the full -race sweep stays in
-# `race`).
+# that publish through the dispatch engine and the XPath evaluator every
+# dispatch worker shares compiled filters of (the full -race sweep stays
+# in `race`).
 check: build vet test
-	go test -race ./internal/dispatch ./internal/core ./internal/obs ./internal/cloudevents ./internal/wspush ./internal/destwriter ./internal/mqtt ./internal/wse ./internal/wsnt ./internal/wsen ./internal/wsbrk
+	go test -race ./internal/dispatch ./internal/core ./internal/obs ./internal/cloudevents ./internal/wspush ./internal/destwriter ./internal/mqtt ./internal/wse ./internal/wsnt ./internal/wsen ./internal/wsbrk ./internal/xpath ./internal/filter
 
 # The end-to-end benchmark lives in its own nested module (cmd/wsbench),
 # which root `go build ./...` and `go test ./...` cannot see — yet it

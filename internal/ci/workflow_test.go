@@ -320,7 +320,9 @@ func TestLocCeilingsPinned(t *testing.T) {
 // TestCheckRacesSpecEndpoints keeps the standalone spec endpoints in
 // `make check`'s race sweep: wse.Source, wsnt.Producer, wsen.Producer and
 // the wsbrk broker over them publish through the shared dispatch engine
-// concurrently with subscription churn.
+// concurrently with subscription churn. The XPath evaluator and the filter
+// package stay in it too: dispatch workers evaluate one compiled content
+// filter from many goroutines at once.
 func TestCheckRacesSpecEndpoints(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join(repoRoot(t), "Makefile"))
 	if err != nil {
@@ -337,7 +339,7 @@ func TestCheckRacesSpecEndpoints(t *testing.T) {
 			break
 		}
 	}
-	for _, pkg := range []string{"./internal/wse", "./internal/wsnt", "./internal/wsen", "./internal/wsbrk"} {
+	for _, pkg := range []string{"./internal/wse", "./internal/wsnt", "./internal/wsen", "./internal/wsbrk", "./internal/xpath", "./internal/filter"} {
 		if !strings.Contains(race+" ", " "+pkg+" ") {
 			t.Errorf("make check's race sweep lacks %s (got %q)", pkg, race)
 		}

@@ -1,8 +1,9 @@
 package xpath
 
 // AST node types for the compiled expression tree. The evaluator walks
-// these directly; expressions in subscription filters are small enough that
-// no further compilation pass is warranted.
+// these directly after one rewrite pass (fuseDescendant); expressions in
+// subscription filters are small enough that no further compilation is
+// warranted.
 
 type exprNode interface{ exprKind() string }
 
@@ -42,13 +43,11 @@ type negExpr struct{ operand exprNode }
 
 func (*negExpr) exprKind() string { return "neg" }
 
-type numberLit float64
+// literal is a number or string literal, held as its value so that
+// evaluating it allocates nothing.
+type literal struct{ v value }
 
-func (numberLit) exprKind() string { return "number" }
-
-type stringLit string
-
-func (stringLit) exprKind() string { return "string" }
+func (*literal) exprKind() string { return "literal" }
 
 type funcCall struct {
 	name string
@@ -138,3 +137,46 @@ type filterExpr struct {
 }
 
 func (*filterExpr) exprKind() string { return "filter" }
+
+// fuseDescendant rewrites every location path in the tree by the XPath 1.0
+// §2.5 identity descendant-or-self::node()/child::T ≡ descendant::T, so
+// "//T" is one descendant walk instead of a child step from every node of
+// the document. A pair where either step has a predicate keeps its form:
+// "//a[1]" selects each first a child, "/descendant::a[1]" only the first a.
+func fuseDescendant(e exprNode) {
+	switch t := e.(type) {
+	case *binaryExpr:
+		fuseDescendant(t.left)
+		fuseDescendant(t.right)
+	case *negExpr:
+		fuseDescendant(t.operand)
+	case *funcCall:
+		for _, a := range t.args {
+			fuseDescendant(a)
+		}
+	case *filterExpr:
+		fuseDescendant(t.primary)
+		for _, p := range t.preds {
+			fuseDescendant(p)
+		}
+	case *pathExpr:
+		if t.start != nil {
+			fuseDescendant(t.start)
+		}
+		var steps []step
+		for i := 0; i < len(t.steps); i++ {
+			st := t.steps[i]
+			for _, p := range st.preds {
+				fuseDescendant(p)
+			}
+			if i+1 < len(t.steps) && st.axis == axisDescendantOrSelf && st.test.kind == testNode && len(st.preds) == 0 {
+				if nx := t.steps[i+1]; nx.axis == axisChild && len(nx.preds) == 0 {
+					st = step{axis: axisDescendant, test: nx.test}
+					i++
+				}
+			}
+			steps = append(steps, st)
+		}
+		t.steps = steps
+	}
+}

@@ -22,10 +22,8 @@ type evaluator struct{}
 
 func (ev *evaluator) eval(e exprNode, ctx evalCtx) (value, error) {
 	switch t := e.(type) {
-	case numberLit:
-		return numVal(t), nil
-	case stringLit:
-		return strVal(t), nil
+	case *literal:
+		return t.v, nil
 	case *negExpr:
 		v, err := ev.eval(t.operand, ctx)
 		if err != nil {
@@ -104,13 +102,7 @@ func (ev *evaluator) evalFilter(f *filterExpr, ctx evalCtx) (value, error) {
 	if !ok {
 		return nil, fmt.Errorf("xpath: predicate applied to non-node-set value")
 	}
-	for _, pred := range f.preds {
-		ns, err = ev.applyPredicate(ns, pred, false)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ns, nil
+	return ev.applyPredicates(ns, f.preds)
 }
 
 func (ev *evaluator) evalPath(p *pathExpr, ctx evalCtx) (value, error) {
@@ -133,16 +125,23 @@ func (ev *evaluator) evalPath(p *pathExpr, ctx evalCtx) (value, error) {
 	}
 
 	for _, st := range p.steps {
+		if len(current) == 1 && !st.axis.reverse() {
+			// One context node on a forward axis: the axis already yields
+			// document order without duplicates, and predicates only drop
+			// nodes, so the candidates are the step's result as they stand.
+			next, err := ev.applyPredicates(axisNodes(current[0], st.axis, st.test), st.preds)
+			if err != nil {
+				return nil, err
+			}
+			current = next
+			continue
+		}
 		next := nodeSet{}
 		seen := map[node]bool{}
 		for _, cn := range current {
-			cands := axisNodes(cn, st.axis, st.test)
-			var err error
-			for _, pred := range st.preds {
-				cands, err = ev.applyPredicate(cands, pred, st.axis.reverse())
-				if err != nil {
-					return nil, err
-				}
+			cands, err := ev.applyPredicates(axisNodes(cn, st.axis, st.test), st.preds)
+			if err != nil {
+				return nil, err
 			}
 			for _, n := range cands {
 				if !seen[n] {
@@ -156,28 +155,32 @@ func (ev *evaluator) evalPath(p *pathExpr, ctx evalCtx) (value, error) {
 	return current, nil
 }
 
-// applyPredicate filters a candidate list. Candidates arrive in axis order;
-// proximity position is 1-based along that order (already reversed for
-// reverse axes by axisNodes, so position counts naturally here).
-func (ev *evaluator) applyPredicate(cands nodeSet, pred exprNode, _ bool) (nodeSet, error) {
-	out := nodeSet{}
-	size := len(cands)
-	for i, n := range cands {
-		v, err := ev.eval(pred, evalCtx{node: n, pos: i + 1, size: size})
-		if err != nil {
-			return nil, err
+// applyPredicates filters a candidate list in place, one predicate after
+// the other. Candidates arrive in axis order; proximity position is 1-based
+// along that order (already reversed for reverse axes by axisNodes, so
+// position counts naturally here).
+func (ev *evaluator) applyPredicates(cands nodeSet, preds []exprNode) (nodeSet, error) {
+	for _, pred := range preds {
+		out := cands[:0]
+		size := len(cands)
+		for i, n := range cands {
+			v, err := ev.eval(pred, evalCtx{node: n, pos: i + 1, size: size})
+			if err != nil {
+				return nil, err
+			}
+			keep := false
+			if num, ok := v.(numVal); ok {
+				keep = float64(num) == float64(i+1)
+			} else {
+				keep = toBool(v)
+			}
+			if keep {
+				out = append(out, n)
+			}
 		}
-		keep := false
-		if num, ok := v.(numVal); ok {
-			keep = float64(num) == float64(i+1)
-		} else {
-			keep = toBool(v)
-		}
-		if keep {
-			out = append(out, n)
-		}
+		cands = out
 	}
-	return out, nil
+	return cands, nil
 }
 
 // rootOf returns the synthetic root node above the context node's tree.
@@ -202,14 +205,21 @@ func axisNodes(cn node, ax axis, test nodeTest) nodeSet {
 	case axisSelf:
 		add(cn)
 	case axisChild:
-		for _, ch := range childNodes(cn) {
-			add(ch)
+		switch cn.kind {
+		case kindRoot:
+			add(elemNode(cn.el))
+		case kindElement:
+			for i := range cn.el.Children {
+				if ch, ok := childAt(cn.el, i); ok {
+					add(ch)
+				}
+			}
 		}
 	case axisDescendant:
-		walkDescendants(cn, add)
+		out = appendDescendants(out, cn, test)
 	case axisDescendantOrSelf:
 		add(cn)
-		walkDescendants(cn, add)
+		out = appendDescendants(out, cn, test)
 	case axisParent:
 		if p, ok := cn.parent(); ok {
 			add(p)
@@ -253,36 +263,32 @@ func axisNodes(cn node, ax axis, test nodeTest) nodeSet {
 			}
 		}
 	case axisFollowing, axisPreceding:
-		// Document-order walk over the whole tree, splitting around cn.
-		// "following" excludes cn's descendants; "preceding" excludes its
-		// ancestors (XPath 1.0 §2.2).
-		root := rootOf(cn)
+		// Document-order walk over the whole tree, splitting around cn and
+		// skipping its subtree: "following" excludes cn's descendants;
+		// "preceding" excludes its ancestors (XPath 1.0 §2.2).
 		ancestors := map[node]bool{}
 		for p, ok := cn.parent(); ok; p, ok = p.parent() {
 			ancestors[p] = true
 		}
-		descendants := map[node]bool{}
-		walkDescendants(cn, func(n node) { descendants[n] = true })
 		before := true
 		var walk func(n node)
 		walk = func(n node) {
 			switch {
 			case n == cn:
 				before = false
+				return
 			case before:
-				if ax == axisPreceding && !ancestors[n] && matchTest(n, ax, test) {
-					out = append(out, n)
+				if ax == axisPreceding && !ancestors[n] {
+					add(n)
 				}
-			case !descendants[n]:
-				if ax == axisFollowing && matchTest(n, ax, test) {
-					out = append(out, n)
-				}
+			case ax == axisFollowing:
+				add(n)
 			}
 			for _, ch := range childNodes(n) {
 				walk(ch)
 			}
 		}
-		walk(root)
+		walk(rootOf(cn))
 		if ax == axisPreceding { // nearest first
 			for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 				out[i], out[j] = out[j], out[i]
@@ -290,6 +296,18 @@ func axisNodes(cn node, ax axis, test nodeTest) nodeSet {
 		}
 	}
 	return out
+}
+
+// childAt returns the XPath node for el.Children[i]: an element or a text
+// node, or false for anything else the tree may hold.
+func childAt(el *xmldom.Element, i int) (node, bool) {
+	switch ch := el.Children[i].(type) {
+	case *xmldom.Element:
+		return elemNode(ch), true
+	case xmldom.Text:
+		return node{kind: kindText, el: el, child: i}, true
+	}
+	return node{}, false
 }
 
 // childNodes returns the child nodes (elements and text) of n in document
@@ -300,12 +318,9 @@ func childNodes(n node) []node {
 		return []node{elemNode(n.el)}
 	case kindElement:
 		out := make([]node, 0, len(n.el.Children))
-		for i, ch := range n.el.Children {
-			switch ch.(type) {
-			case *xmldom.Element:
-				out = append(out, elemNode(ch.(*xmldom.Element)))
-			case xmldom.Text:
-				out = append(out, node{kind: kindText, el: n.el, child: i})
+		for i := range n.el.Children {
+			if ch, ok := childAt(n.el, i); ok {
+				out = append(out, ch)
 			}
 		}
 		return out
@@ -313,11 +328,31 @@ func childNodes(n node) []node {
 	return nil
 }
 
-func walkDescendants(n node, visit func(node)) {
-	for _, ch := range childNodes(n) {
-		visit(ch)
-		walkDescendants(ch, visit)
+// appendDescendants appends the descendants of n that pass test to out in
+// document order, reading each element's children in place.
+func appendDescendants(out nodeSet, n node, test nodeTest) nodeSet {
+	switch n.kind {
+	case kindRoot:
+		doc := elemNode(n.el)
+		if matchTest(doc, axisDescendant, test) {
+			out = append(out, doc)
+		}
+		return appendDescendants(out, doc, test)
+	case kindElement:
+		for i := range n.el.Children {
+			ch, ok := childAt(n.el, i)
+			if !ok {
+				continue
+			}
+			if matchTest(ch, axisDescendant, test) {
+				out = append(out, ch)
+			}
+			if ch.kind == kindElement {
+				out = appendDescendants(out, ch, test)
+			}
+		}
 	}
+	return out
 }
 
 // matchTest applies a node test; the principal node type of the attribute

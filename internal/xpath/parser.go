@@ -267,14 +267,14 @@ func (p *parser) parseFilterExpr() (exprNode, error) {
 	var primary exprNode
 	switch p.cur().kind {
 	case tokLiteral:
-		primary = stringLit(p.advance().text)
+		primary = &literal{v: strVal(p.advance().text)}
 	case tokNumber:
 		f, err := strconv.ParseFloat(p.cur().text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("xpath: bad number %q", p.cur().text)
 		}
 		p.advance()
-		primary = numberLit(f)
+		primary = &literal{v: numVal(f)}
 	case tokLParen:
 		p.advance()
 		inner, err := p.parseExpr()

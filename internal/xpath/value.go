@@ -38,6 +38,11 @@ func rootNode(doc *xmldom.Element) node { return node{kind: kindRoot, el: doc} }
 func (n node) stringValue() string {
 	switch n.kind {
 	case kindRoot, kindElement:
+		if len(n.el.Children) == 1 { // the common leaf: no copy
+			if t, ok := n.el.Children[0].(xmldom.Text); ok {
+				return string(t)
+			}
+		}
 		return n.el.Text()
 	case kindAttribute:
 		return n.el.Attrs[n.attr].Value
@@ -186,7 +191,7 @@ func nodeSetString(ns nodeSet) string {
 }
 
 // compare implements the XPath comparison semantics, including the
-// node-set-against-anything existential rules.
+// node-set-against-anything rules of XPath 1.0 §3.4.
 func compare(op binaryOp, a, b value) bool {
 	an, aIsNS := a.(nodeSet)
 	bn, bIsNS := b.(nodeSet)
@@ -202,36 +207,50 @@ func compare(op binaryOp, a, b value) bool {
 		}
 		return false
 	case aIsNS:
-		for _, x := range an {
-			if compareAtomic(op, coerceLike(b, x), b) {
-				return true
-			}
-		}
-		return false
+		return compareNodes(op, an, b, false)
 	case bIsNS:
-		for _, y := range bn {
-			if compareAtomic(op, a, coerceLike(a, y)) {
-				return true
-			}
-		}
-		return false
+		return compareNodes(op, bn, a, true)
 	default:
 		return compareAtomic(op, a, b)
 	}
 }
 
-// coerceLike converts a node to the atomic type of the other operand for
-// node-set comparisons: numbers against numbers, booleans against the
-// node-set's boolean, strings otherwise.
-func coerceLike(other value, n node) value {
-	switch other.(type) {
-	case numVal:
-		return numVal(stringToNumber(n.stringValue()))
-	case boolVal:
-		return boolVal(true) // a node exists, so its set is true
-	default:
-		return strVal(n.stringValue())
+// compareNodes compares a node-set with an atomic operand; flipped puts
+// the node-set on the right. Against a boolean the node-set stands for
+// boolean(ns), so an empty set equals false(); against a number or a
+// string the comparison is existential over the nodes' string-values,
+// converted to the other operand's type.
+func compareNodes(op binaryOp, ns nodeSet, other value, flipped bool) bool {
+	cmp := func(x value) bool {
+		if flipped {
+			return compareAtomic(op, other, x)
+		}
+		return compareAtomic(op, x, other)
 	}
+	switch o := other.(type) {
+	case boolVal:
+		return cmp(boolVal(len(ns) > 0))
+	case strVal:
+		if op == opEq || op == opNeq {
+			for _, n := range ns {
+				if (n.stringValue() == string(o)) == (op == opEq) {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	for _, n := range ns {
+		sv := n.stringValue()
+		x := value(strVal(sv))
+		if isNum(other) {
+			x = numVal(stringToNumber(sv))
+		}
+		if cmp(x) {
+			return true
+		}
+	}
+	return false
 }
 
 func compareAtomic(op binaryOp, a, b value) bool {

@@ -38,16 +38,8 @@ func CompileNS(src string, ns Namespaces) (*Expr, error) {
 	if p.cur().kind != tokEOF {
 		return nil, fmt.Errorf("xpath: trailing input %s at offset %d", p.cur(), p.cur().pos)
 	}
+	fuseDescendant(root)
 	return &Expr{src: src, root: root}, nil
-}
-
-// MustCompile compiles or panics; for fixed expressions in tests/examples.
-func MustCompile(src string) *Expr {
-	e, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // String returns the source text of the expression.
@@ -61,53 +53,8 @@ type Result struct{ v value }
 // subscription filter reduces to.
 func (r Result) Bool() bool { return toBool(r.v) }
 
-// Number returns the number() coercion of the result.
-func (r Result) Number() float64 { return toNumber(r.v) }
-
 // String returns the string() coercion of the result.
 func (r Result) String() string { return toString(r.v) }
-
-// IsNodeSet reports whether the result is a node-set.
-func (r Result) IsNodeSet() bool { _, ok := r.v.(nodeSet); return ok }
-
-// Elements returns the element nodes of a node-set result in document
-// order; attribute and text nodes are omitted. Nil for non-node-set
-// results.
-func (r Result) Elements() []*xmldom.Element {
-	ns, ok := r.v.(nodeSet)
-	if !ok {
-		return nil
-	}
-	var out []*xmldom.Element
-	for _, n := range ns {
-		if n.kind == kindElement {
-			out = append(out, n.el)
-		}
-	}
-	return out
-}
-
-// Strings returns the string-value of each node for node-set results, or a
-// single-element slice of the coerced string otherwise.
-func (r Result) Strings() []string {
-	ns, ok := r.v.(nodeSet)
-	if !ok {
-		return []string{toString(r.v)}
-	}
-	out := make([]string, len(ns))
-	for i, n := range ns {
-		out[i] = n.stringValue()
-	}
-	return out
-}
-
-// Count returns the number of nodes for node-set results, 0 otherwise.
-func (r Result) Count() int {
-	if ns, ok := r.v.(nodeSet); ok {
-		return len(ns)
-	}
-	return 0
-}
 
 // Eval evaluates the expression with the document rooted at doc. The
 // context node is the root node (the parent of doc), matching how an XPath
@@ -117,19 +64,6 @@ func (r Result) Count() int {
 func (e *Expr) Eval(doc *xmldom.Element) (Result, error) {
 	ev := &evaluator{}
 	ctx := evalCtx{node: rootNode(topmost(doc)), pos: 1, size: 1}
-	v, err := ev.eval(e.root, ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{v: v}, nil
-}
-
-// EvalAt evaluates with an explicit element as the context node, for
-// relative expressions applied inside a message (predicate re-evaluation,
-// ProducerProperties against a properties document, ...).
-func (e *Expr) EvalAt(ctxEl *xmldom.Element) (Result, error) {
-	ev := &evaluator{}
-	ctx := evalCtx{node: elemNode(ctxEl), pos: 1, size: 1}
 	v, err := ev.eval(e.root, ctx)
 	if err != nil {
 		return Result{}, err

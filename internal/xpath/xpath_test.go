@@ -500,6 +500,33 @@ func TestNodeSetComparisons(t *testing.T) {
 	}
 }
 
+// TestNodeSetAgainstBoolean pins XPath 1.0 §3.4: a node-set compared with
+// a boolean stands for boolean(node-set), so a filter can select messages
+// that lack an element.
+func TestNodeSetAgainstBoolean(t *testing.T) {
+	cases := []struct {
+		expr string
+		want bool
+	}{
+		{"//missing = false()", true},
+		{"false() = //missing", true},
+		{"//missing != true()", true},
+		{"true() != //missing", true},
+		{"//missing = true()", false},
+		{"//m:quote = true()", true},
+		{"//m:quote = false()", false},
+		{"false() != //m:quote", true},
+		{"//missing < true()", true}, // 0 < 1 after number()
+	}
+	for _, tc := range cases {
+		t.Run(tc.expr, func(t *testing.T) {
+			if got := evalStr(t, tc.expr, marketNS).Bool(); got != tc.want {
+				t.Errorf("%s = %v, want %v", tc.expr, got, tc.want)
+			}
+		})
+	}
+}
+
 func TestNumericPredicateViaExpression(t *testing.T) {
 	// position() arithmetic inside predicates.
 	r := evalStr(t, "/stock/m:quote[position() = last() - 1]", marketNS)
